@@ -171,54 +171,55 @@ class CoarseOperator:
         a0 = z @ a0 @ z + sp.diags(constrained.astype(float))
         self.a0 = a0.tocsc()
         self._solve = spla.factorized(self.a0)
+        #: 1.0 on free vertices, 0.0 on constrained ones (masks the solve).
+        self._free = free.astype(float)
         # SuperLU's triangular solve is not documented re-entrant; the
         # service layer shares one CoarseOperator across worker threads,
-        # so serialize the (tiny) vertex solve.
+        # so serialize the (tiny) vertex solve.  Measured, the solve is
+        # 13-31 us of an apply on the two flow workloads (n = 71 / 428
+        # vertices) and SuperLU beats a dense inverse or XXT from a few
+        # hundred vertices up, so the factorization stays and the lock is
+        # synchronisation, not overhead worth designing away.
         self._solve_lock = threading.Lock()
 
-        # Per-element restriction: corner hats evaluated at reference GL pts.
-        m = pop.m
-        gl, _ = gauss_legendre(m)
-        # 1-D hat values at GL points: rows = GL pts, cols = (left, right).
-        self._hat = np.column_stack([0.5 * (1.0 - gl), 0.5 * (1.0 + gl)])  # (m, 2)
+        # Per-element transfer: the corner hats evaluated at the reference
+        # GL points, as one (m^d, 2^d) matrix — the Kronecker product of the
+        # 1-D hat matrix, rows in (t, s, r) point order, columns in
+        # ``mesh.vertex_ids`` corner order (r-bit fastest).
+        gl, _ = gauss_legendre(pop.m)
+        hat_1d = np.column_stack([0.5 * (1.0 - gl), 0.5 * (1.0 + gl)])  # (m, 2)
+        hat = hat_1d
+        for _ in range(mesh.ndim - 1):
+            hat = np.kron(hat_1d, hat)
+        self._hat = hat
+        self._hat_t = np.ascontiguousarray(hat.T)
+        self._vertex_flat = np.ascontiguousarray(mesh.vertex_ids.ravel())
 
     # -- transfer ------------------------------------------------------------
     def restrict(self, r: np.ndarray) -> np.ndarray:
-        """``R_0 r``: pressure-grid residual -> vertex vector (scatter-add)."""
-        mesh, hat = self.mesh, self._hat
-        m = self.pop.m
-        if mesh.ndim == 2:
-            # (K, m, m) -> (K, 2, 2): contract each direction with hat.
-            loc = np.einsum("jp,kpq,qi->kji", hat.T, r, hat)
-            loc = loc.reshape(mesh.K, 4)
-        else:
-            loc = np.einsum("lo,kopq,jp,qi->klji", hat.T, r, hat.T, hat)
-            loc = loc.reshape(mesh.K, 8)
+        """``R_0 r``: pressure-grid residual -> vertex vector.
+
+        One ``(K, m^d) @ (m^d, 2^d)`` GEMM onto the element corners, then a
+        weighted ``bincount`` summing the corners shared between elements.
+        """
+        loc = r.reshape(self.mesh.K, -1) @ self._hat
         add_flops(4.0 * r.size, "coarse")
-        out = np.zeros(self.nv)
-        np.add.at(out, mesh.vertex_ids.ravel(), loc.ravel())
-        return out
+        return np.bincount(self._vertex_flat, weights=loc.ravel(), minlength=self.nv)
 
     def prolong(self, x0: np.ndarray) -> np.ndarray:
-        """``R_0^T x0``: vertex vector -> pressure-grid field."""
-        mesh, hat = self.mesh, self._hat
-        loc = x0[mesh.vertex_ids]  # (K, 2**ndim)
-        if mesh.ndim == 2:
-            loc = loc.reshape(mesh.K, 2, 2)
-            out = np.einsum("pj,kji,iq->kpq", hat, loc, hat.T)
-        else:
-            loc = loc.reshape(mesh.K, 2, 2, 2)
-            out = np.einsum("ol,klji,pj,iq->kopq", hat, loc, hat, hat.T)
+        """``R_0^T x0``: vertex vector -> pressure-grid field (one GEMM)."""
+        out = (x0[self.mesh.vertex_ids] @ self._hat_t).reshape(self.pop.p_shape)
         add_flops(4.0 * out.size, "coarse")
         return out
 
     def solve_vertex(self, b0: np.ndarray) -> np.ndarray:
         """``A_0^{-1} b0`` with constrained entries zeroed."""
-        b = np.where(self.constrained, 0.0, b0)
+        b = b0 * self._free
         with self._solve_lock:
             x = self._solve(b)
         add_flops(2.0 * self.a0.nnz, "coarse")
-        return np.where(self.constrained, 0.0, x)
+        x *= self._free
+        return x
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Full coarse correction ``R_0^T A_0^{-1} R_0 r`` on the pressure grid."""

@@ -46,8 +46,8 @@ from ..obs.trace import trace
 from ..perf.flops import add_flops
 from .cg import CGResult, pcg
 from .coarse import CoarseOperator
-from .fdm import generalized_fdm_pair
-from .schwarz import element_lengths, element_line_operators
+from .fdm import FDMSolver, fdm_inverse_denominator, generalized_fdm_pair
+from .schwarz import ElementLinePatches
 from .static_condensation import (
     DenseInteriorSolver,
     ElementCondensation,
@@ -335,9 +335,8 @@ class CondensedEPreconditioner:
         n_b, n_i = b_idx.size, i_idx.size
         mi = m - 2
 
-        lengths = element_lengths(mesh)
+        patches = ElementLinePatches(mesh, pop)
         s_fwd = [np.empty((K, mi, mi)) for _ in range(nd)]  # per-direction S
-        s_bwd = [np.empty((K, mi, mi)) for _ in range(nd)]  # per-direction S^T
         inv_den = np.empty((K,) + (mi,) * nd)
         self.s_pinv = np.empty((K, n_b, n_b))
         self.a_bi = np.empty((K, n_b, n_i))
@@ -346,9 +345,7 @@ class CondensedEPreconditioner:
             blocks = []  # per direction: (e_sub, x_sub) on the element block
             lam_dir = []
             for a in range(nd):
-                e_line, x_line, mid = element_line_operators(
-                    mesh, pop, lengths, k, a
-                )
+                e_line, x_line, mid = patches.line_operators(k, a)
                 ids = np.arange(mid * m, (mid + 1) * m)
                 e_sub = e_line[np.ix_(ids, ids)]
                 x_sub = x_line[np.ix_(ids, ids)]
@@ -359,7 +356,6 @@ class CondensedEPreconditioner:
                     e_sub[1:-1, 1:-1], x_sub[1:-1, 1:-1]
                 )
                 s_fwd[a][k] = s
-                s_bwd[a][k] = s.T
                 lam_dir.append(np.maximum(lam, 0.0))
             # Dense surrogate A~_k = sum_a kron(..., E_a at slot a, ...).
             a_full = np.zeros((m**nd, m**nd))
@@ -373,16 +369,7 @@ class CondensedEPreconditioner:
             self.a_bi[k] = a_full[np.ix_(b_idx, i_idx)]
             self.a_ib[k] = a_full[np.ix_(i_idx, b_idx)]
             # Separable pseudo-inverted interior denominator.
-            if nd == 2:
-                den = lam_dir[1][:, None] + lam_dir[0][None, :]
-            else:
-                den = (
-                    lam_dir[2][:, None, None]
-                    + lam_dir[1][None, :, None]
-                    + lam_dir[0][None, None, :]
-                )
-            tol = 1e-10 * max(float(den.max()), 1.0)
-            inv_den[k] = np.where(den > tol, 1.0 / np.where(den > tol, den, 1.0), 0.0)
+            inv_den[k] = fdm_inverse_denominator(lam_dir)
             # Schur complement through the same interior pseudo-inverse,
             # then pseudo-inverted itself (floating-boundary elements carry
             # a local constant nullspace, exactly like the Schwarz blocks).
@@ -396,32 +383,19 @@ class CondensedEPreconditioner:
             cut = 1e-10 * max(float(w.max()), 1.0)
             w_inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
             self.s_pinv[k] = (v * w_inv[None, :]) @ v.T
-        self.s_fwd = s_fwd
-        self.s_bwd = s_bwd
-        self.inv_den = inv_den
+        #: batched per-element fast diagonalization of the interior blocks
+        self.interior = FDMSolver.from_factors(s_fwd, inv_den)
         self.mi, self.m, self.ndim = mi, m, nd
         self.n_b, self.n_i = n_b, n_i
 
     # ------------------------------------------------------------- interior
     def _interior_solve(self, f: np.ndarray) -> np.ndarray:
-        """``A_II^+ f`` on flat interior data ``(K, n_i)`` — batched
-        per-element fast diagonalization (transforms differ per element, so
-        this is a batched small GEMM, not a shared-operator dispatch)."""
-        K, nd, mi = f.shape[0], self.ndim, self.mi
-        u = f.reshape((K,) + (mi,) * nd)
-        if nd == 2:
-            u = np.matmul(self.s_bwd[1], u) @ self.s_fwd[0]
-            u = u * self.inv_den
-            u = np.matmul(self.s_fwd[1], u) @ self.s_bwd[0]
-        else:
-            u = np.matmul(self.s_bwd[2], u.reshape(K, mi, -1)).reshape(u.shape)
-            u = np.matmul(self.s_bwd[1][:, None], u)
-            u = np.matmul(u, self.s_fwd[0][:, None])
-            u = u * self.inv_den
-            u = np.matmul(self.s_fwd[2], u.reshape(K, mi, -1)).reshape(u.shape)
-            u = np.matmul(self.s_fwd[1][:, None], u)
-            u = np.matmul(u, self.s_bwd[0][:, None])
-        add_flops(4.0 * f.size * mi * nd + f.size, "mxm")
+        """``A_II^+ f`` on flat interior data ``(K, n_i)`` — the shared
+        batched-FDM kernel (transforms differ per element, so this is a
+        batched small GEMM, not a shared-operator dispatch)."""
+        K = f.shape[0]
+        u = self.interior.solve(f.reshape((K,) + (self.mi,) * self.ndim))
+        add_flops(f.size, "mxm")  # the diagonal scale, tallied with the kernel
         return u.reshape(K, -1)
 
     # ---------------------------------------------------------------- apply

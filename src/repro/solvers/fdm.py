@@ -41,6 +41,7 @@ __all__ = [
     "FDMSolver",
     "line_consistent_poisson",
     "generalized_fdm_pair",
+    "fdm_inverse_denominator",
 ]
 
 
@@ -118,9 +119,12 @@ def _gen_eig(a: np.ndarray, b: np.ndarray) -> _Eig1D:
 class FDMSolver:
     """Batched fast-diagonalization solver for per-element local problems.
 
-    One instance holds the eigendecompositions for every element of a mesh
+    One instance holds the eigendecompositions for every element of a batch
     (each element may have different spacings) and applies all inverses in
-    a handful of batched matrix products.
+    a handful of stacked matrix products.  It is the library's single
+    batched-FDM kernel: the Schwarz ``fdm`` local solves (one instance per
+    subdomain shape class) and the condensed tier's interior solves build
+    it from their own factors through :meth:`from_factors`.
 
     Parameters
     ----------
@@ -134,25 +138,17 @@ class FDMSolver:
     def __init__(self, grids: Sequence[Sequence[np.ndarray]]):
         if not grids:
             raise ValueError("no element grids supplied")
-        self.K = len(grids)
-        self.ndim = len(grids[0])
-        n_int = [len(g) - 2 for g in grids[0]]
-        self.shape = tuple(n_int[::-1])  # array layout (t, s, r) <- dirs reversed
-        # Per-direction stacked eigen-systems: s[a] has shape (K, n, n).
-        self.s: List[np.ndarray] = []
-        self.st: List[np.ndarray] = []
+        ndim = len(grids[0])
+        s: List[np.ndarray] = []
         lam: List[np.ndarray] = []
-        for a in range(self.ndim):
-            s_k, lam_k = [], []
-            for k in range(self.K):
-                e = _gen_eig(fem_stiffness_1d(grids[k][a]), fem_mass_1d(grids[k][a]))
-                s_k.append(e.s)
-                lam_k.append(e.lam)
-            self.s.append(np.stack(s_k))
-            self.st.append(np.ascontiguousarray(self.s[-1].transpose(0, 2, 1)))
-            lam.append(np.stack(lam_k))
+        for a in range(ndim):
+            eigs = [
+                _gen_eig(fem_stiffness_1d(g[a]), fem_mass_1d(g[a])) for g in grids
+            ]
+            s.append(np.stack([e.s for e in eigs]))
+            lam.append(np.stack([e.lam for e in eigs]))
         # Separable eigenvalue sum: (K, [n_t,] n_s, n_r), guarded against 0.
-        if self.ndim == 2:
+        if ndim == 2:
             denom = lam[1][:, :, None] + lam[0][:, None, :]
         else:
             denom = (
@@ -162,8 +158,42 @@ class FDMSolver:
             )
         if np.any(denom <= 0):
             raise ValueError("FDM eigenvalue sum not positive; check grids")
-        self.inv_denom = 1.0 / denom
-        self._ws = Workspace()  # ping-pong scratch for allocation-free solves
+        self._set_factors(s, 1.0 / denom)
+
+    @classmethod
+    def from_factors(
+        cls, s: Sequence[np.ndarray], inv_denom: np.ndarray
+    ) -> "FDMSolver":
+        """Solver over precomputed factors.
+
+        ``s[a]`` stacks the direction-``a`` eigenvector matrices
+        ``(K, n_a, n_a)`` (``a = 0`` is r, the fastest array axis);
+        ``inv_denom`` is the pointwise inverse eigenvalue sum of shape
+        ``(K, [n_t,] n_s, n_r)`` — zeros where the caller pseudo-inverts.
+        Directions may differ in size (clipped boundary subdomains).
+        """
+        self = cls.__new__(cls)
+        self._set_factors(s, inv_denom)
+        return self
+
+    def _set_factors(self, s: Sequence[np.ndarray], inv_denom: np.ndarray) -> None:
+        self.K = inv_denom.shape[0]
+        self.ndim = len(s)
+        self.shape = tuple(inv_denom.shape[1:])  # array layout (t, s, r)
+        if self.ndim not in (2, 3) or len(self.shape) != self.ndim:
+            raise ValueError("FDM factors must describe 2-D or 3-D blocks")
+        for a, s_a in enumerate(s):
+            n = self.shape[self.ndim - 1 - a]
+            if s_a.shape != (self.K, n, n):
+                raise ValueError(
+                    f"direction-{a} factors have shape {s_a.shape}, "
+                    f"expected {(self.K, n, n)}"
+                )
+        # Per-direction stacked eigen-systems and their transposes.
+        self.s = [np.ascontiguousarray(s_a) for s_a in s]
+        self.st = [np.ascontiguousarray(s_a.transpose(0, 2, 1)) for s_a in s]
+        self.inv_denom = np.ascontiguousarray(inv_denom)
+        self._ws = Workspace()  # scratch for allocation-free solves
 
     def solve(self, r: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply ``A_tilde^{-1}`` to a batched local field ``(K, [n,] n, n)``.
@@ -171,40 +201,41 @@ class FDMSolver:
         The per-element eigenvector matrices differ element to element, so
         the contractions here are batched (stacked) matmuls rather than the
         shared-operator kernels of :mod:`repro.backends`; intermediates
-        ping-pong between two pooled buffers so repeated preconditioner
-        applications allocate nothing.  ``out`` (C-contiguous, not aliasing
-        ``r``) receives the result when given.
+        ping-pong between one pooled (per-thread) buffer and the output, so
+        repeated preconditioner applications allocate nothing.  ``out``
+        (C-contiguous, not aliasing ``r``) receives the result when given.
         """
         if r.shape != (self.K,) + self.shape:
             raise ValueError(
                 f"expected field of shape {(self.K,) + self.shape}, got {r.shape}"
             )
         if out is None:
-            out = np.empty_like(r)
-        a = self._ws.get("fdm_a", r.shape)
-        b = self._ws.get("fdm_b", r.shape)
+            out = np.empty(r.shape)
+        tmp = self._ws.get("fdm", r.shape)
         # S^T along each direction, diagonal scale, then S back.
         if self.ndim == 2:
-            np.matmul(self.st[1], r, out=a)  # rows: s, cols: r
-            np.matmul(a, self.s[0], out=b)
-            np.multiply(b, self.inv_denom, out=a)
-            np.matmul(self.s[1], a, out=b)
-            np.matmul(b, self.st[0], out=out)
+            np.matmul(self.st[1], r, out=tmp)  # rows: s, cols: r
+            np.matmul(tmp, self.s[0], out=out)
+            out *= self.inv_denom
+            np.matmul(self.s[1], out, out=tmp)
+            np.matmul(tmp, self.st[0], out=out)
             add_flops(8.0 * r.size * self.shape[-1], "mxm")
             return out
         K, nt, ns, nr = r.shape
-        # direction r (last axis) and s (middle) via matmul; t via reshape.
-        np.matmul(r, self.s[0][:, None], out=a)  # S_r^T applied: u @ S_r
-        np.matmul(self.st[1][:, None], a, out=b)
-        np.matmul(
-            self.st[2], b.reshape(K, nt, ns * nr), out=a.reshape(K, nt, ns * nr)
-        )
-        np.multiply(a, self.inv_denom, out=b)
-        np.matmul(b, self.st[0][:, None], out=a)
-        np.matmul(self.s[1][:, None], a, out=b)
-        np.matmul(
-            self.s[2], b.reshape(K, nt, ns * nr), out=out.reshape(K, nt, ns * nr)
-        )
+        # Directions t and r see one GEMM per element through a reshape;
+        # only s (the middle axis) needs the (K, n_t) double batch.  The
+        # t -> s -> r stage order is deliberate: the pinned pressure
+        # iteration total of the 3-D flow workload (bench/reference.json)
+        # was recorded with it and moves ~2 % under r -> s -> t round-off.
+        rows_r = (K, nt * ns, nr)
+        cols_t = (K, nt, ns * nr)
+        np.matmul(self.st[2], r.reshape(cols_t), out=tmp.reshape(cols_t))
+        np.matmul(self.st[1][:, None], tmp, out=out)
+        np.matmul(out.reshape(rows_r), self.s[0], out=tmp.reshape(rows_r))
+        tmp *= self.inv_denom
+        np.matmul(self.s[2], tmp.reshape(cols_t), out=out.reshape(cols_t))
+        np.matmul(self.s[1][:, None], out, out=tmp)
+        np.matmul(tmp.reshape(rows_r), self.st[0], out=out.reshape(rows_r))
         add_flops(12.0 * r.size * self.shape[-1], "mxm")
         return out
 
@@ -317,3 +348,22 @@ def generalized_fdm_pair(
     """
     lam, s = scipy.linalg.eigh(e_mat, x_mat)
     return s, lam
+
+
+def fdm_inverse_denominator(lam_dir: Sequence[np.ndarray]) -> np.ndarray:
+    """Pseudo-inverse of the separable eigenvalue sum ``lam_x (+) lam_y [(+) lam_z]``.
+
+    ``lam_dir[a]`` holds the direction-``a`` generalized eigenvalues
+    (``a = 0`` is r); the result has array layout ``([n_t,] n_s, n_r)``.
+    Exact zeros (a floating subdomain's constant mode) invert to zero.
+    """
+    if len(lam_dir) == 2:
+        den = lam_dir[1][:, None] + lam_dir[0][None, :]
+    else:
+        den = (
+            lam_dir[2][:, None, None]
+            + lam_dir[1][None, :, None]
+            + lam_dir[0][None, None, :]
+        )
+    tol = 1e-10 * max(float(den.max()), 1.0)
+    return np.where(den > tol, 1.0 / np.where(den > tol, den, 1.0), 0.0)

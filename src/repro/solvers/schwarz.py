@@ -25,7 +25,7 @@ families are provided, mirroring Fig. 5 and Table 2:
 * ``"fem"``  — the earlier unstructured-style construction: overlap of
   ``N_o`` gridpoint layers (0 = block Jacobi, 1 = minimal overlap, ... ),
   local operator = low-order FEM Laplacian on the *actual* local point
-  coordinates, dense-factorized.  2-D only (the paper notes the FEM
+  coordinates, inverted explicitly.  2-D only (the paper notes the FEM
   approach is not competitive in 3-D).  Counting weights (the
   Lottes-Fischer weighting used by the production code's descendants) tame
   the overlap overcounting; see EXPERIMENTS.md for where this variant's
@@ -33,12 +33,19 @@ families are provided, mirroring Fig. 5 and Table 2:
 
 Because the pressure space is discontinuous and the meshes are logically
 structured, all pressure dofs embed in a global lattice of Gauss points
-(:class:`PressureLattice`); restriction/prolongation are pure indexing.
+(:class:`PressureLattice`), where subdomain overlap is index arithmetic.
+The lattice is a *set-up* device only: subdomains are grouped by extended
+shape (interior / face / edge / corner clipping — at most ``3^d`` classes,
+typically one to three), and each class keeps its stacked local factors
+plus a flat gather index into the element-ordered pressure vector.  One
+apply is then one gather, one batched solve per class, and one weighted
+``bincount`` for ``sum_k R_k^T`` — no per-subdomain interpreter work.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -49,14 +56,20 @@ from ..core.pressure import PressureOperator
 from ..obs.trace import trace
 from ..perf.flops import add_flops
 from .coarse import CoarseOperator, element_corner_coords
-from .fdm import generalized_fdm_pair, line_consistent_poisson
+from .fdm import (
+    FDMSolver,
+    fdm_inverse_denominator,
+    generalized_fdm_pair,
+    line_consistent_poisson,
+)
 
 __all__ = [
     "PressureLattice",
     "SchwarzPreconditioner",
+    "SubdomainClass",
     "HybridSchwarzPreconditioner",
+    "ElementLinePatches",
     "element_lengths",
-    "element_line_operators",
 ]
 
 
@@ -80,42 +93,66 @@ def element_lengths(mesh: Mesh) -> np.ndarray:
     return out
 
 
-def element_line_operators(
-    mesh: Mesh,
-    pop: PressureOperator,
-    lengths: np.ndarray,
-    k: int,
-    a: int,
-):
-    """1-D consistent-Poisson patch blocks for element ``k``, direction ``a``.
+class ElementLinePatches:
+    """Rectilinear surrogate line patches of every element (set-up helper).
 
-    Builds the rectilinear surrogate patch (element plus available
-    neighbors) along direction ``a``, detects Dirichlet line ends from the
-    velocity mask, and returns ``(e_line, x_line, mid)`` where ``mid`` is
-    the element's block position within the patch (0 when there is no low
-    neighbor).  Shared by :class:`SchwarzPreconditioner` (overlapping
-    subdomains) and the condensed tier (zero-overlap element blocks).
+    Holds what all ``K x ndim`` patch constructions share — the mean element
+    extents, the elements' lattice coordinates and, per direction, the mean
+    extent of each slab of elements (the neighbor length used so deformed
+    meshes get a sensible neighbor extent without per-neighbor lookups) —
+    computed once, so building every element's line operators is O(K).
+    Shared by :class:`SchwarzPreconditioner` (overlapping subdomains) and
+    the condensed tier (zero-overlap element blocks).
     """
-    elat = mesh.element_lattice
-    lat_xyz = _element_lattice_xyz(mesh)
-    e = int(lat_xyz[k, a])
-    ne = elat[a]
-    per = mesh.periodic[a]
-    lo_nb = (e - 1) % ne if (per or e - 1 >= 0) else None
-    hi_nb = (e + 1) % ne if (per or e + 1 <= ne - 1) else None
-    if ne == 1:
-        lo_nb = hi_nb = None
-    patch = []
-    if lo_nb is not None:
-        patch.append(_slab_length(lengths, lo_nb, a, elat))
-    mid = len(patch)
-    patch.append(lengths[k, a])
-    if hi_nb is not None:
-        patch.append(_slab_length(lengths, hi_nb, a, elat))
-    dir_lo = lo_nb is None and not per and _face_constrained(mesh, pop, k, a, 0)
-    dir_hi = hi_nb is None and not per and _face_constrained(mesh, pop, k, a, 1)
-    e_line, x_line = line_consistent_poisson(patch, mesh.order, dir_lo, dir_hi)
-    return e_line, x_line, mid
+
+    def __init__(self, mesh: Mesh, pop: PressureOperator):
+        self.mesh = mesh
+        self.pop = pop
+        self.lengths = element_lengths(mesh)
+        self.lattice_xyz = _element_lattice_xyz(mesh)
+        self.slab_lengths = [
+            np.array([
+                self.lengths[self.lattice_xyz[:, a] == e, a].mean()
+                for e in range(mesh.element_lattice[a])
+            ])
+            for a in range(mesh.ndim)
+        ]
+
+    def line_operators(self, k: int, a: int):
+        """1-D consistent-Poisson patch blocks for element ``k``, direction ``a``.
+
+        Builds the rectilinear surrogate patch (element plus available
+        neighbors) along direction ``a``, detects Dirichlet line ends from
+        the velocity mask, and returns ``(e_line, x_line, mid)`` where
+        ``mid`` is the element's block position within the patch (0 when
+        there is no low neighbor).
+        """
+        mesh = self.mesh
+        e = int(self.lattice_xyz[k, a])
+        ne = mesh.element_lattice[a]
+        per = mesh.periodic[a]
+        lo_nb = (e - 1) % ne if (per or e - 1 >= 0) else None
+        hi_nb = (e + 1) % ne if (per or e + 1 <= ne - 1) else None
+        if ne == 1:
+            lo_nb = hi_nb = None
+        patch = []
+        if lo_nb is not None:
+            patch.append(float(self.slab_lengths[a][lo_nb]))
+        mid = len(patch)
+        patch.append(self.lengths[k, a])
+        if hi_nb is not None:
+            patch.append(float(self.slab_lengths[a][hi_nb]))
+        dir_lo = lo_nb is None and not per and self._face_constrained(k, a, 0)
+        dir_hi = hi_nb is None and not per and self._face_constrained(k, a, 1)
+        e_line, x_line = line_consistent_poisson(patch, mesh.order, dir_lo, dir_hi)
+        return e_line, x_line, mid
+
+    def _face_constrained(self, k: int, a: int, side: int) -> bool:
+        """Is the velocity fully Dirichlet on face (direction a, side 0/1)?"""
+        nd = self.mesh.ndim
+        sl = [slice(None)] * nd
+        sl[nd - 1 - a] = 0 if side == 0 else -1
+        return bool(np.all(self.pop.vel_mask.constrained[(k,) + tuple(sl)]))
 
 
 def _element_lattice_xyz(mesh: Mesh) -> np.ndarray:
@@ -131,32 +168,6 @@ def _element_lattice_xyz(mesh: Mesh) -> np.ndarray:
             eidx // (lat[0] * lat[1]),
         ]
     return np.stack(exyz, axis=1)
-
-
-def _slab_length(lengths: np.ndarray, e_a: int, a: int, elat) -> float:
-    """Mean length along ``a`` of all elements with lattice coordinate ``e_a``.
-
-    Uses the slab average so that deformed meshes get a sensible neighbor
-    extent without per-neighbor lookups.
-    """
-    K = lengths.shape[0]
-    if a == 0:
-        ne = elat[0]
-        mask = (np.arange(K) % ne) == e_a
-    elif a == 1:
-        ne = elat[0]
-        mask = ((np.arange(K) // ne) % elat[1]) == e_a
-    else:
-        mask = (np.arange(K) // (elat[0] * elat[1])) == e_a
-    return float(lengths[mask, a].mean())
-
-
-def _face_constrained(mesh: Mesh, pop: PressureOperator, k: int, a: int, side: int) -> bool:
-    """Is the velocity fully Dirichlet on face (direction a, side 0/1)?"""
-    nd = mesh.ndim
-    sl = [slice(None)] * nd
-    sl[nd - 1 - a] = 0 if side == 0 else -1
-    return bool(np.all(pop.vel_mask.constrained[(k,) + tuple(sl)]))
 
 
 class PressureLattice:
@@ -182,20 +193,10 @@ class PressureLattice:
         self.periodic_arr = mesh.periodic[::-1]  # array order
         nd = mesh.ndim
         K = mesh.K
-        lat = mesh.element_lattice
-        eidx = np.arange(K)
-        if nd == 2:
-            exyz = [eidx % lat[0], eidx // lat[0]]
-        else:
-            exyz = [
-                eidx % lat[0],
-                (eidx // lat[0]) % lat[1],
-                eidx // (lat[0] * lat[1]),
-            ]
         #: per-element lattice coordinates (x-, y-[, z-]index of the element)
-        self.element_xyz = np.stack(exyz, axis=1)
+        self.element_xyz = _element_lattice_xyz(mesh)
         #: per-element block start, array order (t, s, r); shape (K, ndim)
-        self.block_start = np.stack([e * self.m for e in exyz[::-1]], axis=1)
+        self.block_start = self.element_xyz[:, ::-1] * self.m
 
         # Flat lattice index of every element pressure dof: (K, m, [m,] m).
         offs = np.indices((self.m,) * nd)
@@ -215,13 +216,9 @@ class PressureLattice:
         ]
 
     # -- element <-> lattice field transfer -----------------------------------
-    def to_lattice(self, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Pressure field ``(K, m, ..)`` -> lattice array (bijective).
-
-        ``out`` (lattice-shaped, overwritten) avoids the allocation.
-        """
-        if out is None:
-            out = np.empty(self.shape)
+    def to_lattice(self, p: np.ndarray) -> np.ndarray:
+        """Pressure field ``(K, m, ..)`` -> lattice array (bijective)."""
+        out = np.empty(self.shape)
         out.ravel()[self._flat_index.ravel()] = p.ravel()
         return out
 
@@ -246,6 +243,21 @@ class PressureLattice:
             else:
                 idx.append(np.arange(max(lo, 0), min(hi, n)))
         return idx
+
+
+@dataclass
+class SubdomainClass:
+    """All subdomains of one extended shape, stacked for one batched solve.
+
+    ``solver`` is a :class:`repro.solvers.fdm.FDMSolver` over the class's
+    stacked factors (``fdm``) or the stacked explicit local inverses
+    ``(K_c, n, n)`` (``fem``).
+    """
+
+    elements: np.ndarray  # (K_c,) element ids, ascending
+    shape: Tuple[int, ...]  # extended block shape, array order (t, s, r)
+    gather: np.ndarray  # (K_c, n) indices into the element-ordered vector
+    solver: Union[FDMSolver, np.ndarray]
 
 
 class SchwarzPreconditioner:
@@ -295,45 +307,70 @@ class SchwarzPreconditioner:
         self.variant = variant
         self.overlap = overlap
         self.weighted = weighted and variant == "fem"
-        self.lattice = PressureLattice(mesh, pop)
         self.coarse = (
             CoarseOperator(mesh, pop, dirichlet_vertices) if use_coarse else None
         )
-        if variant == "fdm":
-            self._setup_fdm()
-        else:
-            self._setup_fem()
+        lattice = PressureLattice(mesh, pop)  # set-up only; not kept
+        #: one entry per extended subdomain shape (at most ``3^d``)
+        self.subdomain_classes: List[SubdomainClass] = (
+            self._setup_fdm(lattice) if variant == "fdm" else self._setup_fem(lattice)
+        )
         if self.weighted:
-            cnt = np.zeros(self.lattice.shape)
-            for ids in self._subdomain_ix:
-                np.add.at(cnt, ids, 1.0)
-            self._weight = 1.0 / np.sqrt(cnt)
+            self._weight = 1.0 / np.sqrt(np.bincount(self._gather))
         else:
             self._weight = None
-        # Persistent lattice-shaped buffers: every preconditioner apply
-        # reuses these instead of allocating two lattice arrays per call.
-        # Workspace storage is per-thread, so a cache-shared preconditioner
-        # stays scratch-safe under the service layer's concurrent runs.
+        # The gathered blocks and the class-concatenated local solutions
+        # live in per-thread Workspace storage, so a cache-shared
+        # preconditioner stays scratch-safe under the service layer's
+        # concurrent runs.
         self._ws = Workspace()
 
     # ------------------------------------------------------------------ setup
-    def _setup_fdm(self) -> None:
+    def _shape_classes(
+        self, lat: PressureLattice, index_sets: Sequence[Sequence[np.ndarray]]
+    ) -> List[Tuple[np.ndarray, Tuple[int, ...], np.ndarray]]:
+        """Group subdomains by extended shape.
+
+        ``index_sets[k]`` holds subdomain k's per-direction lattice indices
+        (array order t, s, r).  Returns ``(elements, shape, gather)`` per
+        class, ``gather[j]`` indexing element ``elements[j]``'s subdomain in
+        the element-ordered (raveled) pressure vector.  The gathers are
+        views of the one class-concatenated index ``self._gather`` that the
+        apply uses for both ``R_k`` (take) and ``R_k^T`` (bincount).
+        """
+        to_element = np.empty(lat._flat_index.size, dtype=np.intp)
+        to_element[lat._flat_index.ravel()] = np.arange(to_element.size)
+        by_shape = {}
+        for k, ids in enumerate(index_sets):
+            by_shape.setdefault(tuple(len(i) for i in ids), []).append(k)
+        self._gather = np.concatenate([
+            to_element[np.ravel_multi_index(np.ix_(*index_sets[k]), lat.shape).ravel()]
+            for ks in by_shape.values()
+            for k in ks
+        ])
+        classes, lo = [], 0
+        for shape, ks in by_shape.items():
+            hi = lo + len(ks) * int(np.prod(shape))
+            classes.append(
+                (np.array(ks), shape, self._gather[lo:hi].reshape(len(ks), -1))
+            )
+            lo = hi
+        return classes
+
+    def _setup_fdm(self, lat: PressureLattice) -> List[SubdomainClass]:
         """Tensor local solves: generalized FDM on 1-D consistent-Poisson
         patch blocks, one (small dense) eigendecomposition per element and
-        direction."""
-        mesh, lat = self.mesh, self.lattice
+        direction, stacked per shape class."""
+        mesh = self.mesh
         nd = mesh.ndim
         m = lat.m
-        lengths = element_lengths(mesh)
-        self._fdm_data = []  # per element: (s_factors, inv_denom)
-        self._subdomain_ix = []  # per element: np.ix_ index tuple (lattice)
+        patches = ElementLinePatches(mesh, self.pop)
+        factors = []  # per element: (s_factors, inv_denom)
+        index_sets = []  # per element: lattice indices, array order
         for k in range(mesh.K):
             s_dir, lam_dir, ids_dir = [], [], []
             for a in range(nd):
-                per = mesh.periodic[a]
-                e_line, x_line, mid = element_line_operators(
-                    mesh, self.pop, lengths, k, a
-                )
+                e_line, x_line, mid = patches.line_operators(k, a)
                 # Dofs: middle block +- overlap, clipped to the patch.
                 ids = np.arange(mid * m - self.overlap, (mid + 1) * m + self.overlap)
                 ids = ids[(ids >= 0) & (ids < e_line.shape[0])]
@@ -344,88 +381,97 @@ class SchwarzPreconditioner:
                 lam_dir.append(np.maximum(lam, 0.0))
                 # Lattice indices of these dofs along direction a.
                 gidx = lat.block_start[k][nd - 1 - a] + (ids - mid * m)
-                if per:
+                if mesh.periodic[a]:
                     gidx = gidx % lat.shape[nd - 1 - a]
                 ids_dir.append(gidx)
             # Separable denominator with pseudo-inverse of exact zeros.
-            if nd == 2:
-                den = lam_dir[1][:, None] + lam_dir[0][None, :]
-            else:
-                den = (
-                    lam_dir[2][:, None, None]
-                    + lam_dir[1][None, :, None]
-                    + lam_dir[0][None, None, :]
-                )
-            tol = 1e-10 * max(float(den.max()), 1.0)
-            inv_den = np.where(den > tol, 1.0 / np.where(den > tol, den, 1.0), 0.0)
-            self._fdm_data.append((s_dir, inv_den))
-            self._subdomain_ix.append(np.ix_(*ids_dir[::-1]))  # array order
+            factors.append((s_dir, fdm_inverse_denominator(lam_dir)))
+            index_sets.append(ids_dir[::-1])  # array order
+        return [
+            SubdomainClass(
+                ks, shape, gather,
+                FDMSolver.from_factors(
+                    [np.stack([factors[k][0][a] for k in ks]) for a in range(nd)],
+                    np.stack([factors[k][1] for k in ks]),
+                ),
+            )
+            for ks, shape, gather in self._shape_classes(lat, index_sets)
+        ]
 
-    def _setup_fem(self) -> None:
-        """Overlap-N_o low-order FEM local factorizations on true coordinates.
+    def _setup_fem(self, lat: PressureLattice) -> List[SubdomainClass]:
+        """Overlap-N_o low-order FEM local inverses on true coordinates.
 
         Curved (deformed) local grids are used as-is when every cell is
         positively oriented; periodic wraps, which break orientation in
         physical coordinates, fall back to a rectilinear arc-length
         surrogate (only local spacings matter for the preconditioner).
+        The explicit (symmetrized) inverses are written straight into
+        their class stack: peak memory is the stack itself, the same
+        ``K n^2`` a per-element factor list would hold.
         """
-        mesh, lat = self.mesh, self.lattice
-        self._fem_cho = []
-        self._subdomain_ix = []
         xc, yc = lat.lattice_coords[0], lat.lattice_coords[1]
-        for k in range(mesh.K):
-            iy, ix = lat.subdomain_indices(k, self.overlap)
-            xs = xc[np.ix_(iy, ix)]
-            ys = yc[np.ix_(iy, ix)]
-            if not _grid_positively_oriented(xs, ys):
-                lx = _arclength_line(xs, ys, axis=1)
-                ly = _arclength_line(xs, ys, axis=0)
-                xs, ys = np.meshgrid(lx, ly)
-            xg = _pad_mirror_2d(xs)
-            yg = _pad_mirror_2d(ys)
-            a_loc = _fem_laplacian_grid_2d(xg, yg)
-            self._subdomain_ix.append(np.ix_(iy, ix))
-            self._fem_cho.append(scipy.linalg.cho_factor(a_loc))
+        index_sets = [
+            lat.subdomain_indices(k, self.overlap) for k in range(self.mesh.K)
+        ]
+        classes = []
+        for ks, shape, gather in self._shape_classes(lat, index_sets):
+            n = gather.shape[1]
+            inverses = np.empty((ks.size, n, n))
+            eye = np.eye(n)
+            for j, k in enumerate(ks):
+                ix = np.ix_(*index_sets[k])
+                xs, ys = xc[ix], yc[ix]
+                if not _grid_positively_oriented(xs, ys):
+                    lx = _arclength_line(xs, ys, axis=1)
+                    ly = _arclength_line(xs, ys, axis=0)
+                    xs, ys = np.meshgrid(lx, ly)
+                a_loc = _fem_laplacian_grid_2d(_pad_mirror_2d(xs), _pad_mirror_2d(ys))
+                inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a_loc), eye)
+                np.add(inv, inv.T, out=inverses[j])
+                inverses[j] *= 0.5
+            classes.append(SubdomainClass(ks, shape, gather, inverses))
+        return classes
 
     # ------------------------------------------------------------------ apply
     def local_solves(self, r: np.ndarray) -> np.ndarray:
-        """``sum_k R_k^T A~_k^{-1} R_k r`` on the pressure grid."""
-        lat = self.lattice
-        rl = lat.to_lattice(r, out=self._ws.get("lat_in", self.lattice.shape))
+        """``sum_k R_k^T A~_k^{-1} R_k r`` on the pressure grid.
+
+        One gather of every subdomain's dofs; per shape class the
+        stacked-matmul FDM sequence (``fdm``) or one stacked matvec with
+        the explicit inverses (``fem``); one weighted ``bincount`` summing
+        the local solutions back.  Counting weights, when on, scale the
+        vector before the gather and after the scatter.
+        """
+        ws = self._ws
+        flat = r.reshape(-1)
         if self._weight is not None:
-            rl *= self._weight
-        out = self._ws.get("lat_acc", self.lattice.shape)
-        out.fill(0.0)
-        if self.variant == "fdm":
-            nd = self.mesh.ndim
-            for ids, (s_dir, inv_den) in zip(self._subdomain_ix, self._fdm_data):
-                sub = rl[ids]
-                if nd == 2:
-                    sx, sy = s_dir
-                    u = sy.T @ sub @ sx
-                    u *= inv_den
-                    u = sy @ u @ sx.T
-                else:
-                    sx, sy, sz = s_dir
-                    nt, ns, nr = sub.shape
-                    u = np.tensordot(sz.T, sub, axes=(1, 0))
-                    u = np.matmul(sy.T, u)
-                    u = np.matmul(u, sx)
-                    u *= inv_den
-                    u = np.tensordot(sz, u, axes=(1, 0))
-                    u = np.matmul(sy, u)
-                    u = np.matmul(u, sx.T)
-                add_flops(4.0 * sub.size * (sub.shape[-1] * nd), "mxm")
-                np.add.at(out, ids, u)
-        else:
-            for ids, cho in zip(self._subdomain_ix, self._fem_cho):
-                sub = rl[ids]
-                sol = scipy.linalg.cho_solve(cho, sub.ravel()).reshape(sub.shape)
-                add_flops(2.0 * float(sub.size) ** 2, "mxm")
-                np.add.at(out, ids, sol)
+            flat = np.multiply(flat, self._weight, out=ws.get("weighted", flat.shape))
+        # mode="clip": the default "raise" buffers ``out``; the indices are
+        # in range by construction.
+        gathered = np.take(
+            flat, self._gather, out=ws.get("gathered", self._gather.shape), mode="clip"
+        )
+        solved = ws.get("solved", self._gather.shape)
+        lo = 0
+        for c in self.subdomain_classes:
+            hi = lo + c.gather.size
+            if self.variant == "fdm":
+                block = (-1,) + c.shape
+                c.solver.solve(
+                    gathered[lo:hi].reshape(block), out=solved[lo:hi].reshape(block)
+                )
+            else:
+                cols = c.gather.shape + (1,)
+                np.matmul(
+                    c.solver, gathered[lo:hi].reshape(cols),
+                    out=solved[lo:hi].reshape(cols),
+                )
+                add_flops(2.0 * c.solver.size, "mxm")
+            lo = hi
+        out = np.bincount(self._gather, weights=solved, minlength=flat.size)
         if self._weight is not None:
             out *= self._weight
-        return lat.from_lattice(out)
+        return out.reshape(r.shape)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Apply ``M_o^{-1} r``.
@@ -438,9 +484,9 @@ class SchwarzPreconditioner:
                 out = self.local_solves(r)
             if self.coarse is not None:
                 with trace("coarse"):
-                    out = out + self.coarse.apply(r)
+                    out += self.coarse.apply(r)
             if self.pop.has_nullspace:
-                out = out - float(np.sum(out) / out.size)
+                out -= float(np.sum(out) / out.size)
             return out
 
 

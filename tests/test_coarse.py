@@ -155,3 +155,71 @@ class TestCoarseOperator:
         co = CoarseOperator(m, pop)
         r = np.random.default_rng(5).standard_normal(pop.p_shape)
         assert np.all(np.isfinite(co.apply(r)))
+
+
+def assemble_r0(mesh, pop):
+    """Sparse ``R_0`` (n_vertices x n_pressure) built entry by entry from the
+    1-D corner hats at the Gauss points — the reference for the GEMM form."""
+    import scipy.sparse as sp
+
+    from repro.core.quadrature import gauss_legendre
+
+    gl, _ = gauss_legendre(pop.m)
+    hat = [0.5 * (1.0 - gl), 0.5 * (1.0 + gl)]  # left / right corner
+    nd, m = mesh.ndim, pop.m
+    rows, cols, vals = [], [], []
+    for k in range(mesh.K):
+        for corner in range(2**nd):
+            bits = [(corner >> d) & 1 for d in range(nd)]  # r-bit fastest
+            for point in np.ndindex(*(m,) * nd):  # (t, s, r) order
+                w = 1.0
+                for axis, idx in enumerate(point):
+                    w *= hat[bits[nd - 1 - axis]][idx]
+                rows.append(mesh.vertex_ids[k, corner])
+                cols.append(np.ravel_multi_index((k,) + point, pop.p_shape))
+                vals.append(w)
+    n_p = int(np.prod(pop.p_shape))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_vertices, n_p))
+
+
+class TestTransferMatchesAssembledR0:
+    @pytest.mark.parametrize(
+        "make_mesh",
+        [
+            lambda: box_mesh_2d(3, 2, 5),
+            lambda: box_mesh_2d(3, 3, 4, periodic=(True, False)),
+            lambda: map_mesh(
+                box_mesh_2d(3, 3, 4), lambda x, y: (x + 0.1 * np.sin(np.pi * y), y)
+            ),
+            lambda: box_mesh_3d(2, 2, 2, 4),
+            lambda: box_mesh_3d(3, 2, 2, 3, periodic=(True, False, False)),
+        ],
+        ids=["2d", "2d-periodic-x", "2d-deformed", "3d", "3d-periodic-x"],
+    )
+    def test_restrict_prolong_equal_sparse_r0(self, make_mesh):
+        m = make_mesh()
+        pop = PressureOperator(m)
+        co = CoarseOperator(m, pop)
+        r0 = assemble_r0(m, pop)
+        rng = np.random.default_rng(8)
+        r = rng.standard_normal(pop.p_shape)
+        x0 = rng.standard_normal(m.n_vertices)
+        assert np.allclose(co.restrict(r), r0 @ r.ravel(), rtol=0, atol=1e-13)
+        assert np.allclose(
+            co.prolong(x0), (r0.T @ x0).reshape(pop.p_shape), rtol=0, atol=1e-13
+        )
+
+    def test_transfer_is_unmasked_solve_is_masked(self):
+        m = box_mesh_2d(3, 2, 4)
+        pop = PressureOperator(m)
+        dmask = np.zeros(m.n_vertices, dtype=bool)
+        dmask[[0, 5]] = True
+        co = CoarseOperator(m, pop, dirichlet_vertices=dmask)
+        r = np.random.default_rng(9).standard_normal(pop.p_shape)
+        b0 = co.restrict(r)
+        assert np.all(b0[dmask] != 0.0)  # the transfer does not mask
+        x = co.solve_vertex(b0)
+        assert np.all(x[dmask] == 0.0)
+        free = ~dmask
+        a_ff = co.a0.toarray()[np.ix_(free, free)]
+        assert np.allclose(x[free], np.linalg.solve(a_ff, b0[free]), atol=1e-12)

@@ -225,3 +225,153 @@ class TestHybridSchwarz:
         pop = PressureOperator(m, vel_mask=vel_mask)
         pc = HybridSchwarzPreconditioner(m, pop)
         assert solve_iters(m, pop, pc) < 200
+
+
+# ---------------------------------------------------------------------------
+# Batched apply against a per-subdomain dense reference
+# ---------------------------------------------------------------------------
+def _deform_2d(x, y):
+    return x + 0.08 * np.sin(np.pi * y), y + 0.08 * np.sin(np.pi * x)
+
+
+BATCHED_MESHES = {
+    "2d-rectilinear": lambda: box_mesh_2d(4, 3, 5, x1=2.0),
+    "2d-periodic": lambda: box_mesh_2d(4, 4, 5, periodic=(True, True)),
+    "2d-deformed": lambda: map_mesh(box_mesh_2d(4, 4, 5), _deform_2d),
+    "3d-box": lambda: box_mesh_3d(3, 2, 2, 4),
+    "3d-periodic-x": lambda: box_mesh_3d(3, 3, 2, 5, periodic=(True, False, False)),
+}
+BATCHED_CASES = [
+    (name, variant, overlap)
+    for name in sorted(BATCHED_MESHES)
+    for variant, overlap in [("fdm", 1), ("fem", 0), ("fem", 1), ("fem", 3)]
+    if variant == "fdm" or name.startswith("2d")  # fem local solves are 2-D only
+]
+
+
+def dense_local_inverse(pc, cls, j):
+    """Explicit ``A~_k^{-1}`` of subdomain ``j`` of a shape class."""
+    if pc.variant == "fem":
+        return cls.solver[j]
+    fdm = cls.solver
+    big_s = fdm.s[0][j]
+    for a in range(1, fdm.ndim):  # kron runs slow -> fast: direction t down to r
+        big_s = np.kron(fdm.s[a][j], big_s)
+    return (big_s * fdm.inv_denom[j].ravel()[None, :]) @ big_s.T
+
+
+def reference_local_solves(pc, r, lattice):
+    """``sum_k R_k^T A~_k^{-1} R_k r`` one subdomain at a time, with ``R_k``
+    taken from the lattice index arithmetic, not from the stored gather."""
+    rl = lattice.to_lattice(r)
+    weight = None
+    if pc.weighted:
+        weight = np.zeros(lattice.shape)
+        for k in range(pc.mesh.K):
+            np.add.at(weight, np.ix_(*lattice.subdomain_indices(k, pc.overlap)), 1.0)
+        weight = 1.0 / np.sqrt(weight)
+        rl = rl * weight
+    acc = np.zeros(lattice.shape)
+    seen = 0
+    for cls in pc.subdomain_classes:
+        for j, k in enumerate(cls.elements):
+            ids = np.ix_(*lattice.subdomain_indices(k, pc.overlap))
+            sub = rl[ids]
+            assert sub.shape == cls.shape
+            sol = dense_local_inverse(pc, cls, j) @ sub.ravel()
+            np.add.at(acc, ids, sol.reshape(sub.shape))
+            seen += 1
+    assert seen == pc.mesh.K
+    if weight is not None:
+        acc *= weight
+    return lattice.from_lattice(acc)
+
+
+class TestBatchedApply:
+    @pytest.mark.parametrize("mesh_name,variant,overlap", BATCHED_CASES)
+    def test_matches_dense_subdomain_loop(self, mesh_name, variant, overlap):
+        mesh = BATCHED_MESHES[mesh_name]()
+        pop = PressureOperator(mesh)
+        pc = SchwarzPreconditioner(mesh, pop, variant=variant, overlap=overlap)
+        lattice = PressureLattice(mesh, pop)
+        r = np.random.default_rng(7).standard_normal(pop.p_shape)
+        got = pc.local_solves(r)
+        ref = reference_local_solves(pc, r, lattice)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # The full apply adds the coarse term and projects the null space.
+        full = ref + pc.coarse.apply(r)
+        if pop.has_nullspace:
+            full -= full.mean()
+        assert np.max(np.abs(pc(r) - full)) <= 1e-12 * np.max(np.abs(full))
+
+    def test_shape_classes_partition_the_elements(self):
+        m = box_mesh_3d(3, 3, 3, 4)
+        pop = PressureOperator(m)
+        pc = SchwarzPreconditioner(m, pop)
+        elements = np.concatenate([c.elements for c in pc.subdomain_classes])
+        assert sorted(elements.tolist()) == list(range(m.K))
+        # Clipped boundary extensions: 2 extents per direction -> <= 2^3 here.
+        assert 1 < len(pc.subdomain_classes) <= 8
+        assert len({c.shape for c in pc.subdomain_classes}) == len(pc.subdomain_classes)
+
+    def test_returns_fresh_arrays(self):
+        m, pop = make_problem(3, 3, 5)
+        pc = SchwarzPreconditioner(m, pop)
+        r = np.random.default_rng(0).standard_normal(pop.p_shape)
+        first = pc(r)
+        kept = first.copy()
+        second = pc(2.0 * r)
+        assert second is not first
+        assert np.array_equal(first, kept)
+
+    def test_3d_precond_symmetric(self):
+        m = box_mesh_3d(3, 2, 2, 4)
+        pop = PressureOperator(m)
+        spd_check(SchwarzPreconditioner(m, pop, variant="fdm"), pop, seed=5)
+
+    def test_3d_periodic_precond_symmetric(self):
+        m = box_mesh_3d(3, 3, 2, 4, periodic=(True, False, False))
+        pop = PressureOperator(m)
+        spd_check(SchwarzPreconditioner(m, pop, variant="fdm"), pop, seed=6)
+
+    @pytest.mark.parametrize("variant", ["fdm", "fem"])
+    def test_shared_preconditioner_is_thread_safe(self, variant):
+        """Threads applying one shared preconditioner concurrently each
+        reproduce their solo result bitwise (scratch is per-thread)."""
+        import sys
+        import threading
+
+        m, pop = make_problem(6, 6, 6)
+        pc = SchwarzPreconditioner(m, pop, variant=variant)
+        rng = np.random.default_rng(11)
+        n_threads = 3  # more than this box's cores, so applies interleave
+        inputs = [rng.standard_normal(pop.p_shape) for _ in range(n_threads)]
+        solo = [pc(r) for r in inputs]
+        mismatches = [0] * n_threads
+        errors = []
+        barrier = threading.Barrier(n_threads)
+
+        def work(i):
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(150):
+                    if not np.array_equal(pc(inputs[i]), solo[i]):
+                        mismatches[i] += 1
+            except Exception as exc:  # re-raised through the assert below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,)) for i in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert mismatches == [0] * n_threads

@@ -8,6 +8,7 @@ feeds (Table 1, Fig. 3, Fig. 4, Table 2, Fig. 8).
 import numpy as np
 import pytest
 
+from repro.api import SolverConfig
 from repro.workloads.convection_cell import ConvectionCellCase
 from repro.workloads.cylinder_model import TABLE2_LEVELS, Table2Case, cylinder_mesh
 from repro.workloads.hairpin import HairpinCase, blasius_like_profile, bump_channel_mesh
@@ -18,6 +19,16 @@ from repro.workloads.orr_sommerfeld import (
     ts_wave_fields,
 )
 from repro.workloads.shear_layer import ShearLayerCase
+
+#: the six Table-2 rows the service sweep and the clock benchmark run
+TABLE2_VARIANTS = {
+    "fdm": SolverConfig(pressure_variant="fdm"),
+    "fem-No0": SolverConfig(pressure_variant="fem", overlap=0),
+    "fem-No1": SolverConfig(pressure_variant="fem", overlap=1),
+    "fem-No3": SolverConfig(pressure_variant="fem", overlap=3),
+    "condensed": SolverConfig(pressure_variant="condensed"),
+    "no-coarse": SolverConfig(pressure_variant="fdm", use_coarse=False),
+}
 
 
 class TestChebyshev:
@@ -154,7 +165,37 @@ class TestCylinderModel:
         assert no_coarse.iterations > 2 * fdm.iterations
         assert fem1.iterations <= fem0.iterations
         assert fdm.iterations <= 1.2 * fem1.iterations
-        assert fdm.cpu_seconds < fem1.cpu_seconds
+        # Both solves take tens of milliseconds: compare the best of three
+        # so one scheduler hiccup cannot flip the ordering.
+        fdm_s = min([fdm.cpu_seconds] + [
+            case.run(config=TABLE2_VARIANTS["fdm"]).cpu_seconds for _ in range(2)
+        ])
+        fem1_s = min([fem1.cpu_seconds] + [
+            case.run(config=TABLE2_VARIANTS["fem-No1"]).cpu_seconds for _ in range(2)
+        ])
+        assert fdm_s < fem1_s
+
+    # Iteration pins (values from the commit before the batched Schwarz
+    # apply): a silently weakened preconditioner fails here, not only in
+    # bench/reference.json.
+    @pytest.mark.parametrize(
+        "label,iterations",
+        [("fdm", 40), ("fem-No0", 59), ("fem-No1", 50), ("fem-No3", 45),
+         ("condensed", 62), ("no-coarse", 59)],
+    )
+    def test_level0_order4_iteration_pins(self, label, iterations):
+        res = Table2Case(level=0, order=4).run(config=TABLE2_VARIANTS[label])
+        assert res.converged
+        assert res.iterations == iterations
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "label,iterations", [("fdm", 35), ("fem-No1", 38), ("condensed", 63)]
+    )
+    def test_level1_order7_iteration_pins(self, label, iterations):
+        res = Table2Case(level=1, order=7).run(config=TABLE2_VARIANTS[label])
+        assert res.converged
+        assert res.iterations == iterations
 
 
 class TestConvectionCell:
