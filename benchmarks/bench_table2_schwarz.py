@@ -17,15 +17,16 @@ import numpy as np
 import pytest
 
 from conftest import fmt_table, write_result
+from repro.api import SolverConfig
 from repro.workloads.cylinder_model import Table2Case
 
 LEVELS = [0, 1, 2]
 VARIANTS = [
-    ("FDM", dict(variant="fdm")),
-    ("No=0", dict(variant="fem", overlap=0)),
-    ("No=1", dict(variant="fem", overlap=1)),
-    ("No=3", dict(variant="fem", overlap=3)),
-    ("A0=0", dict(variant="fdm", use_coarse=False)),
+    ("FDM", SolverConfig(pressure_variant="fdm")),
+    ("No=0", SolverConfig(pressure_variant="fem", overlap=0)),
+    ("No=1", SolverConfig(pressure_variant="fem", overlap=1)),
+    ("No=3", SolverConfig(pressure_variant="fem", overlap=3)),
+    ("A0=0", SolverConfig(pressure_variant="fdm", use_coarse=False)),
 ]
 
 
@@ -35,8 +36,8 @@ def results():
     for level in LEVELS:
         case = Table2Case(level=level, order=7)
         row = {}
-        for tag, kw in VARIANTS:
-            row[tag] = case.run(tol=1e-5, **kw)
+        for tag, config in VARIANTS:
+            row[tag] = case.run(config.replace(tol=1e-5))
         out[case.mesh.K] = row
     return out
 

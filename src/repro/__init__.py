@@ -18,10 +18,9 @@ full algorithmic stack:
 * a unified observability layer (:mod:`repro.obs`): hierarchical trace
   regions, solver telemetry, and schema-stable run reports
   (``python -m repro report``; docs/OBSERVABILITY.md),
-* a batched many-run solver service (:mod:`repro.service`): a
-  :class:`~repro.service.Session` worker pool sharing a cross-run
-  factorization cache and fusing same-shape operator applies across
-  concurrent runs (``python -m repro sweep``; docs/SERVICE.md), built on
+* a many-run solver service (:mod:`repro.service`): a
+  :class:`~repro.service.Session` executing runs over a shared cross-run
+  factorization cache (``python -m repro sweep``; docs/SERVICE.md), built on
   the typed :class:`SolverConfig`/:class:`RunSpec` construction API
   (:mod:`repro.api`).
 

@@ -20,34 +20,25 @@ and error-prone.  This module is the single typed vocabulary:
   (FDM eigenpairs, XXT factors, Schwarz subdomain operators, condensation
   factors) is shared across constructions.
 
-The old keyword spellings still work but emit :class:`DeprecationWarning`
-via :func:`resolve_config`; the migration table lives in docs/SERVICE.md
-and a lint test (``tests/test_api.py``) keeps the repo itself clean.
+``config=`` is the only spelling: the solver constructors take no
+per-decision keywords, so an old one is a plain :class:`TypeError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "SolverConfig",
     "RunSpec",
-    "resolve_config",
-    "DEPRECATED",
     "poisson_solver",
     "pmg_preconditioner",
     "stokes_solver",
     "navier_stokes_solver",
     "table2_case",
 ]
-
-#: Sentinel for deprecated keyword parameters: distinguishes "caller never
-#: passed it" from any legitimate value (including None).
-DEPRECATED: Any = object()
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -112,11 +103,10 @@ class RunSpec:
     ``params`` are that runner's keyword parameters (mesh size, level,
     steps...).  ``seed`` pins every random choice the runner makes, which
     is what makes "same spec ⇒ bitwise-identical result" testable solo vs
-    batched.  ``batched=False`` opts a run out of cross-run apply fusion;
-    ``share_projection=True`` opts it *into* the session's cross-request
-    successive-RHS projection pool (off by default because sharing history
-    across runs changes iterate trajectories, breaking solo/batched
-    bitwise parity on purpose).
+    in a session.  ``share_projection=True`` opts a run *into* the
+    session's cross-request successive-RHS projection pool (off by default
+    because sharing history across runs changes iterate trajectories,
+    breaking solo/session bitwise parity on purpose).
     """
 
     workload: str
@@ -125,7 +115,6 @@ class RunSpec:
     seed: int = 0
     label: str = ""
     tags: Tuple[str, ...] = ()
-    batched: bool = True
     share_projection: bool = False
 
     def as_dict(self) -> Dict[str, Any]:
@@ -137,14 +126,20 @@ class RunSpec:
             "seed": self.seed,
             "label": self.label,
             "tags": list(self.tags),
-            "batched": self.batched,
             "share_projection": self.share_projection,
         }
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "RunSpec":
-        """Build a spec from a JSON document (the ``serve`` wire format)."""
+        """Build a spec from a JSON document (the ``serve`` wire format).
+
+        Unknown keys raise: a misspelt ``"parms"`` must not silently run
+        the default problem.
+        """
         d = dict(d)
+        unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown RunSpec fields: {unknown}")
         config = d.get("config") or {}
         if not isinstance(config, SolverConfig):
             config = SolverConfig.from_dict(config)
@@ -155,47 +150,14 @@ class RunSpec:
             seed=int(d.get("seed", 0)),
             label=str(d.get("label", "")),
             tags=tuple(d.get("tags") or ()),
-            batched=bool(d.get("batched", True)),
             share_projection=bool(d.get("share_projection", False)),
         )
-
-
-def resolve_config(
-    owner: str,
-    config: Optional[SolverConfig],
-    **legacy: Any,
-) -> SolverConfig:
-    """Merge deprecated keyword arguments into a :class:`SolverConfig`.
-
-    ``legacy`` maps config field names to values the caller passed through
-    the old per-constructor keywords; entries equal to :data:`DEPRECATED`
-    were not passed and are ignored.  Every entry actually passed emits a
-    :class:`DeprecationWarning` naming the replacement.  Passing both
-    ``config`` and a legacy keyword is an error — two sources of truth for
-    the same decision is exactly the ambiguity this API removes.
-    """
-    given = {k: v for k, v in legacy.items() if v is not DEPRECATED}
-    if not given:
-        return config if config is not None else SolverConfig()
-    names = ", ".join(f"{k}=" for k in sorted(given))
-    if config is not None:
-        raise TypeError(
-            f"{owner}: pass either config=SolverConfig(...) or the "
-            f"deprecated keyword(s) {names}, not both"
-        )
-    warnings.warn(
-        f"{owner}: keyword(s) {names} are deprecated; pass "
-        f"config=SolverConfig({names}...) instead (see docs/SERVICE.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return SolverConfig(**given)
 
 
 # ---------------------------------------------------------------------------
 # Facade constructors: one uniform spelling for every solver front door.
 # All imports are deferred so `repro.api` stays importable from the solver
-# modules themselves (they call resolve_config in their shims).
+# modules themselves (they import SolverConfig).
 # ---------------------------------------------------------------------------
 def poisson_solver(mesh, h1: float = 1.0, h0: float = 0.0,
                    config: Optional[SolverConfig] = None, cache=None):

@@ -1,8 +1,9 @@
 """Backend registry and shape-aware auto-tuning dispatch.
 
 This is the single entry point through which every tensor-product kernel
-in the library runs.  It owns three responsibilities the paper assigns to
-the tuned-kernel layer:
+in the library runs, and every call takes the same path: sanitize → tally
+→ the active backend's kernel point.  It owns three responsibilities the
+paper assigns to the tuned-kernel layer:
 
 1. **Sanitizing the boundary.**  Operands are coerced to C-contiguous
    float64 exactly once (silently falling onto strided BLAS paths is the
@@ -81,8 +82,6 @@ __all__ = [
     "machine_fingerprint",
     "tuning_cache_path",
     "tuning_stats",
-    "set_batch_hook",
-    "batch_hook",
     "AutoTuneDispatcher",
     "apply_1d",
     "grad",
@@ -650,39 +649,6 @@ if _env:
 
 
 # ---------------------------------------------------------------------------
-# Per-thread batch hook: the cross-run fusion seam.
-# ---------------------------------------------------------------------------
-#: thread-local hook storage; a hook intercepts *sanitized, flop-counted*
-#: kernel calls made by the installing thread.
-_HOOK_TLS = threading.local()
-
-
-def set_batch_hook(hook) -> Optional[object]:
-    """Install a kernel-call interceptor for the **calling thread**.
-
-    ``hook`` must provide ``apply_1d(op, u, direction, out)`` and
-    ``batched_matvec(mats, vecs, out)`` with dispatch-entry semantics
-    (return the result; fill and return ``out`` when given).  The hook is
-    handed *sanitized* operands after validation and after the caller's
-    flop tally — this is the seam
-    :class:`repro.service.CrossRunBatcher` uses to gather same-shape
-    applies from concurrent runs into one backend call while per-run flop
-    accounting stays exact.  Fused :func:`apply_tensor` calls decompose
-    into per-stage ``apply_1d`` hook calls, so hooks never need a third
-    method.  Pass ``None`` to uninstall.  Returns the previously
-    installed hook (or None).
-    """
-    prev = getattr(_HOOK_TLS, "hook", None)
-    _HOOK_TLS.hook = hook
-    return prev
-
-
-def batch_hook() -> Optional[object]:
-    """The calling thread's installed kernel-call interceptor, if any."""
-    return getattr(_HOOK_TLS, "hook", None)
-
-
-# ---------------------------------------------------------------------------
 # The sanitized kernel entry points used by repro.core.tensor.
 # ---------------------------------------------------------------------------
 def _sanitize(a: np.ndarray) -> np.ndarray:
@@ -736,9 +702,6 @@ def apply_1d(
         expected[axis] = m
         _check_out(out, tuple(expected), u)
     add_flops(2.0 * m * n * (u.size // n), "mxm")
-    hook = getattr(_HOOK_TLS, "hook", None)
-    if hook is not None:
-        return hook.apply_1d(op, u, direction, out)
     return _ACTIVE.apply_1d(op, u, direction, out=out)
 
 
@@ -768,15 +731,7 @@ def batched_matvec(
     if out is not None:
         _check_out(out, (K, m), vecs, mats)
     add_flops(2.0 * K * m * n, "mxm")
-    hook = getattr(_HOOK_TLS, "hook", None)
-    if hook is not None:
-        return hook.batched_matvec(mats, vecs, out)
     return _ACTIVE.batched_matvec(mats, vecs, out=out)
-
-
-#: fallback ping-pong buffers for the composed apply_tensor path when the
-#: caller supplies no workspace (per-thread inside Workspace).
-_COMPOSED_WS = Workspace()
 
 
 def apply_tensor(
@@ -797,9 +752,7 @@ def apply_tensor(
     Result placement: ``out`` when given; else a ``workspace``-owned
     buffer when a workspace is given (same ownership contract as the
     pre-fusion implementation — copy or consume before the next
-    workspace-using call); else a fresh allocation.  With a batch hook
-    installed (service cross-run fusion), the call decomposes into
-    per-stage :func:`apply_1d` entries so hooks observe every contraction.
+    workspace-using call); else a fresh allocation.
     """
     u = _sanitize(u)
     ndim = u.ndim - 1
@@ -840,40 +793,12 @@ def apply_tensor(
     result_shape = tuple(shape)
     if out is not None:
         _check_out(out, result_shape, u)
-    hook = getattr(_HOOK_TLS, "hook", None)
-    if hook is not None:
-        # Per-stage entries: each tallies its own flops and hits the hook.
-        return _composed_apply_tensor(ops_s, u, workspace, out)
     add_flops(flops, "mxm")
     if out is None and workspace is not None:
         out = workspace.get("apply_tensor_out", result_shape)
         if np.may_share_memory(out, u):
             out = np.empty(result_shape)
     return _ACTIVE.apply_tensor(ops_s, u, out=out)
-
-
-def _composed_apply_tensor(ops_s, u, workspace, out):
-    """Stage-wise apply through the dispatch entries (the hook path)."""
-    ws = workspace if workspace is not None else _COMPOSED_WS
-    stages = [(d, op) for d, op in enumerate(ops_s) if op is not None]
-    cur = u
-    for i, (d, op) in enumerate(stages):
-        shape = list(cur.shape)
-        shape[cur.ndim - 1 - d] = op.shape[0]
-        dst: Optional[np.ndarray]
-        if i == len(stages) - 1:
-            if out is not None:
-                dst = out
-            elif workspace is not None:
-                dst = workspace.get("apply_tensor_out", tuple(shape))
-            else:
-                dst = None
-        else:
-            dst = ws.get(f"pp{i % 2}", tuple(shape))
-        if dst is not None and np.may_share_memory(dst, cur):
-            dst = None  # defensive: never hand a kernel aliasing buffers
-        cur = apply_1d(op, cur, d, out=dst)
-    return cur
 
 
 def grad(d, u, outs=None):

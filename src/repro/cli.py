@@ -10,7 +10,7 @@
     python -m repro backends          # kernel backend / auto-tuner report
     python -m repro report [--steps N]# traced shear-layer run -> JSON report
     python -m repro spmd --executor mp --ranks 4   # distributed CG, real procs
-    python -m repro sweep --runs 24 --workers 4    # batched many-run service
+    python -m repro sweep --runs 24                # many-run service, shared cache
     python -m repro pmg --smoother condensed       # p-MG smoother/coarse tiers
     python -m repro serve < specs.jsonl            # JSON-lines run service
 
@@ -356,15 +356,13 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    """Batched many-run sweep through the Session service.
+    """Many-run sweep through the Session service.
 
     Submits ``--runs`` Table-2-style pressure solves (cycling the variant
     rows) to a :class:`repro.service.Session`: all runs share one
-    factorization cache, same-shape operator applies from concurrent runs
-    are fused into single backend calls, and every run is traced into a
-    schema-versioned report.  Prints the service summary (throughput,
-    cache hit rate, batch occupancy); ``--out`` writes the full
-    service-level report JSON.
+    factorization cache and every run is traced into a schema-versioned
+    report.  Prints the service summary (throughput, cache hit rate);
+    ``--out`` writes the full service-level report JSON.
     """
     import json
 
@@ -383,8 +381,7 @@ def _cmd_sweep(args) -> int:
         )
         for i in range(args.runs)
     ]
-    with Session(workers=args.workers, batching=not args.no_batch,
-                 window_seconds=args.window) as sess:
+    with Session(workers=args.workers) as sess:
         results = sess.run(specs)
         summary = sess.summary()
         doc = sess.report(meta={"workload": "table2_sweep",
@@ -399,24 +396,17 @@ def _cmd_sweep(args) -> int:
             per_variant.setdefault(r.spec.label, []).append(
                 r.payload["iterations"]
             )
-    print(f"sweep: {summary['runs']} runs on {summary['workers']} workers "
-          f"({'batched' if not args.no_batch else 'unbatched'})")
+    print(f"sweep: {summary['runs']} runs on {summary['workers']} workers")
     print(f"{'variant':>10} {'runs':>5} {'iters':>6}")
     for tag, iters in sorted(per_variant.items()):
         print(f"{tag:>10} {len(iters):5d} {iters[0]:6d}")
     cache = summary["cache"]
-    batching = summary["batching"]
     print(f"throughput: {summary['throughput_runs_per_s']:.2f} runs/s "
           f"(wall {summary['wall_seconds']:.2f}s, "
           f"busy {summary['busy_seconds']:.2f}s)")
     print(f"cache: {cache['hits']} hits / {cache['misses']} misses "
           f"(hit rate {cache['hit_rate']:.2f}, {cache['entries']} entries, "
           f"{cache['bytes'] / 1e6:.1f} MB)")
-    print(f"batching: {batching['submitted']} applies -> "
-          f"{batching['backend_calls']} backend calls, "
-          f"{batching['fused_groups']} fused groups, occupancy "
-          f"mean {batching['mean_occupancy']:.2f} / "
-          f"max {batching['max_occupancy']}")
     if args.out:
         with open(args.out, "w") as f:
             json.dump(doc, f, indent=2, sort_keys=True)
@@ -465,7 +455,7 @@ def _cmd_serve(args) -> int:
     line carries the service summary.  This is the scriptable front end:
 
         echo '{"workload": "table2", "params": {"level": 0}}' \\
-            | python -m repro serve --workers 2
+            | python -m repro serve
     """
     import json
 
@@ -479,7 +469,7 @@ def _cmd_serve(args) -> int:
         if not line:
             continue
         specs.append(RunSpec.from_dict(json.loads(line)))
-    with Session(workers=args.workers, batching=not args.no_batch) as sess:
+    with Session(workers=args.workers) as sess:
         results = sess.run(specs)
         summary = sess.summary()
     for r in results:
@@ -567,17 +557,15 @@ def main(argv=None) -> int:
     pr.add_argument("--text", action="store_true",
                     help="print the Table-2-style text breakdown instead "
                          "of raw JSON")
-    pw = sub.add_parser("sweep", help="batched many-run Table-2 sweep "
-                                      "through the Session service")
+    pw = sub.add_parser("sweep", help="many-run Table-2 sweep through the "
+                                      "Session service (shared cache)")
     pw.add_argument("--runs", type=int, default=12,
                     help="number of runs to submit (variant rows cycle)")
-    pw.add_argument("--workers", type=int, default=4)
+    pw.add_argument("--workers", type=int, default=1,
+                    help="worker threads (measured: >1 only breaks even "
+                         "at K >= 1536)")
     pw.add_argument("--level", type=int, default=0, choices=[0, 1, 2])
     pw.add_argument("--order", type=int, default=7)
-    pw.add_argument("--no-batch", action="store_true",
-                    help="disable cross-run apply fusion")
-    pw.add_argument("--window", type=float, default=1e-3,
-                    help="batch rendezvous window in seconds")
     pw.add_argument("--out", default=None,
                     help="write the service-level report JSON here")
     pg = sub.add_parser("pmg", help="p-multigrid-preconditioned Poisson "
@@ -593,9 +581,8 @@ def main(argv=None) -> int:
     pg.add_argument("--maxiter", type=int, default=200)
     pv = sub.add_parser("serve", help="JSON-lines run service: RunSpec "
                                       "documents on stdin, results on stdout")
-    pv.add_argument("--workers", type=int, default=4)
-    pv.add_argument("--no-batch", action="store_true",
-                    help="disable cross-run apply fusion")
+    pv.add_argument("--workers", type=int, default=1,
+                    help="worker threads (see sweep --workers)")
     args = parser.parse_args(argv)
     if args.backend is not None:
         from repro import backends as _backends

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..api import DEPRECATED, SolverConfig, resolve_config
+from ..api import SolverConfig
 from ..core.assembly import Assembler
 from ..core.element import geometric_factors
 from ..core.filters import FieldFilter
@@ -109,8 +109,6 @@ class NavierStokesSolver:
         Optional body force ``f(x, y[, z], t) -> components``.
     oifs_cfl_target:
         RK4 substep sizing: substeps = ceil(CFL / target).
-    projection_window, pressure_variant, pressure_tol, helmholtz_tol:
-        Deprecated keyword spellings of the ``config`` fields.
     """
 
     def __init__(
@@ -125,10 +123,6 @@ class NavierStokesSolver:
         filter_modes: int = 1,
         config: Optional[SolverConfig] = None,
         cache=None,
-        projection_window: int = DEPRECATED,
-        pressure_variant: str = DEPRECATED,
-        pressure_tol: float = DEPRECATED,
-        helmholtz_tol: float = DEPRECATED,
         forcing: Optional[Callable] = None,
         oifs_cfl_target: float = 0.25,
         coarse_dirichlet_vertices: Optional[np.ndarray] = None,
@@ -136,14 +130,7 @@ class NavierStokesSolver:
         coriolis: Optional[Sequence[float]] = None,
         axisymmetric: bool = False,
     ):
-        config = resolve_config(
-            "NavierStokesSolver",
-            config,
-            projection_window=projection_window,
-            pressure_variant=pressure_variant,
-            pressure_tol=pressure_tol,
-            helmholtz_tol=helmholtz_tol,
-        )
+        config = config if config is not None else SolverConfig()
         self.config = config
         projection_window = config.projection_window
         pressure_variant = config.pressure_variant

@@ -22,7 +22,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..api import DEPRECATED, SolverConfig, resolve_config
+from ..api import SolverConfig
 from ..core.assembly import Assembler
 from ..core.element import geometric_factors
 from ..core.mesh import Mesh
@@ -70,8 +70,6 @@ class StokesSolver:
         Optional :class:`~repro.service.FactorCache`; shares the geometric
         factors, assembler, pressure operator, and preconditioner with
         other constructions on the same mesh.
-    pressure_variant, velocity_tol, pressure_tol, maxiter:
-        Deprecated keyword spellings of the ``config`` fields.
     """
 
     def __init__(
@@ -81,24 +79,11 @@ class StokesSolver:
         bc: Optional[VelocityBC] = None,
         config: Optional[SolverConfig] = None,
         cache=None,
-        pressure_variant: str = DEPRECATED,
-        velocity_tol: float = DEPRECATED,
-        pressure_tol: float = DEPRECATED,
-        maxiter: int = DEPRECATED,
     ):
         # Uzawa's outer iteration caps at 400 by default (a Schur-complement
         # CG, not a raw elliptic solve, so the generic 3000 is too lax).
-        no_cap_given = config is None and maxiter is DEPRECATED
-        config = resolve_config(
-            "StokesSolver",
-            config,
-            pressure_variant=pressure_variant,
-            velocity_tol=velocity_tol,
-            pressure_tol=pressure_tol,
-            maxiter=maxiter,
-        )
-        if no_cap_given:
-            config = config.replace(maxiter=400)
+        if config is None:
+            config = SolverConfig(maxiter=400)
         self.config = config
         self.mesh = mesh
         self.re = float(re)

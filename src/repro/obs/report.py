@@ -76,8 +76,8 @@ def report_json(
     every rank's trace regions and comm phases into one measured-vs-model
     table (additive schema: absent unless provided).  ``service`` attaches
     the optional many-run service summary
-    (:meth:`repro.service.Session.report_section`: throughput, cache hit
-    rates, batch occupancy) — also additive.
+    (:meth:`repro.service.Session.summary`: throughput, cache hit
+    rates) — also additive.
 
     ``tracer``/``sink``/``counter`` override the sources the document is
     built from; the service layer passes a run scope's private state here
@@ -304,7 +304,7 @@ def _validate_service(s: Any, path: str) -> None:
     _check_keys(
         s,
         ["workers", "runs", "succeeded", "failed", "wall_seconds",
-         "throughput_runs_per_s", "cache", "batching"],
+         "throughput_runs_per_s", "cache"],
         path,
     )
     _check_type(s["workers"], int, path + ".workers")
@@ -323,18 +323,6 @@ def _validate_service(s: Any, path: str) -> None:
         _check_type(cache[k], int, f"{path}.cache.{k}")
     _check_type(cache["hit_rate"], _NUM, path + ".cache.hit_rate")
     _check_type(cache["bytes"], _NUM, path + ".cache.bytes")
-    batching = s["batching"]
-    _check_type(batching, dict, path + ".batching")
-    _check_keys(
-        batching,
-        ["enabled", "submitted", "backend_calls", "fused_groups",
-         "mean_occupancy", "max_occupancy"],
-        path + ".batching",
-    )
-    _check_type(batching["enabled"], bool, path + ".batching.enabled")
-    for k in ("submitted", "backend_calls", "fused_groups", "max_occupancy"):
-        _check_type(batching[k], int, f"{path}.batching.{k}")
-    _check_type(batching["mean_occupancy"], _NUM, path + ".batching.mean_occupancy")
     if "tuning" in s:  # additive: shared persistent-tuning-table counters
         tuning = s["tuning"]
         _check_type(tuning, dict, path + ".tuning")

@@ -1,22 +1,22 @@
-"""Batched many-run solver service (the Session API).
+"""Many-run solver service (the Session API).
 
 One process, many solver runs: a :class:`Session` executes
-:class:`~repro.api.RunSpec` runs on a worker pool while sharing the
-amortizable state between them —
+:class:`~repro.api.RunSpec` runs while sharing the amortizable state
+between them —
 
 * :class:`FactorCache` — cross-run factorization/operator cache with
   content-hash keys and LRU byte-cap eviction (:mod:`repro.service.cache`);
-* :class:`CrossRunBatcher` — fuses same-shape tensor applies from
-  concurrent runs into single backend calls behind the sanitized dispatch
-  boundary (:mod:`repro.service.batcher`);
 * :class:`ProjectorPool` — opt-in cross-run successive-RHS projection
   reuse (:mod:`repro.service.session`).
+
+The cache is what pays.  The worker pool is threads and is measured at
+0.3x / 0.8x / 1.0-1.3x a sequential loop (K = 96 / 384 / 1536, 2 cores),
+so ``workers`` defaults to 1; process workers are the open item.
 
 Workloads are named runners (:mod:`repro.service.runners`); per-run
 observability rides on :func:`repro.obs.run_scope`.  See docs/SERVICE.md.
 """
 
-from .batcher import BatchStats, CrossRunBatcher
 from .cache import (
     CacheStats,
     FactorCache,
@@ -33,8 +33,6 @@ __all__ = [
     "ProjectorPool",
     "FactorCache",
     "CacheStats",
-    "CrossRunBatcher",
-    "BatchStats",
     "mesh_signature",
     "array_signature",
     "estimate_nbytes",

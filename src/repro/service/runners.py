@@ -8,7 +8,7 @@ payloads in memory; reports serialize only scalars).  Runners must be
 **deterministic in (spec, seed)**: every random choice draws from
 ``ctx.rng`` and every solver is built through the config, which is what
 makes "same spec ⇒ bitwise-identical payload" a testable property solo vs
-batched.
+in a session.
 
 The registry is open: :func:`register` adds project- or test-local
 workloads without touching this module.
@@ -141,7 +141,7 @@ def _run_poisson(spec: RunSpec, ctx: RunContext) -> dict:
     """A condensed Poisson solve with a seeded random load.
 
     Small and fast — the unit-test workload for determinism, cache-key,
-    and batching checks.  ``params``: ``n`` (elements per direction),
+    and solo-parity checks.  ``params``: ``n`` (elements per direction),
     ``order``, ``deformed`` (bool), ``h1``/``h0``.
     """
     from ..api import poisson_solver

@@ -1,29 +1,31 @@
-"""The batched many-run solver service: ``Session`` and its worker pool.
+"""The many-run solver service: ``Session`` and its worker pool.
 
-A :class:`Session` executes many :class:`~repro.api.RunSpec` runs
-concurrently on a thread pool while sharing the three amortizable assets
-the runs would otherwise each rebuild:
+A :class:`Session` executes many :class:`~repro.api.RunSpec` runs while
+sharing the two amortizable assets the runs would otherwise each rebuild:
 
 * a :class:`~repro.service.FactorCache` of factorizations and operators
   (FDM eigenpairs, Schwarz subdomain solves, static-condensation factors,
   meshes) keyed by content signatures;
-* a :class:`~repro.service.CrossRunBatcher` that fuses same-shape tensor
-  applies from concurrent runs into single backend calls behind the
-  sanitized dispatch boundary;
 * a pool of successive-RHS :class:`~repro.solvers.projection.SolutionProjector`
   histories, so a run can warm-start its pressure solves from solutions
   computed by *earlier runs* on the same operator (opt-in per spec — it
   deliberately changes iterate trajectories).
 
-Each run executes inside :func:`repro.obs.run_scope`, so it gets a private
-region tree, telemetry sink, and exact per-run flop tally; its
-schema-versioned run report is the service's streamed telemetry.
-:meth:`Session.summary` aggregates throughput, cache hit rates, and batch
-occupancy into the report schema's ``service`` section.
+A run in a session executes exactly the code :func:`repro.service.execute`
+(the solo path) executes, so its payload is bitwise equal to the solo
+payload under every kernel backend.  Each run executes inside
+:func:`repro.obs.run_scope`, so it gets a private region tree, telemetry
+sink, and exact per-run flop tally; its schema-versioned run report is the
+service's streamed telemetry.  :meth:`Session.summary` aggregates
+throughput and cache hit rates into the report schema's ``service``
+section.
 
-Threads, not processes: the hot loops are BLAS/numpy calls that release
-the GIL, so worker threads overlap on cores while sharing the cache and
-batcher in one address space — the design point the whole module exploits.
+The pool is worker *threads*, and the measurement is that it does not pay:
+the solves are short numpy calls under the GIL, and ``Session(workers=2)``
+ran at 0.3x / 0.8x / 1.0-1.3x the rate of a sequential loop on the same
+cache at K = 96 / 384 / 1536 on 2 cores.  Hence ``workers=1`` by default —
+the cache is the part that pays.  Process workers with cache-key affinity
+are the open item (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .. import obs
 from ..api import RunSpec
 from ..backends import dispatch as _dispatch
 from ..solvers.projection import SolutionProjector
-from .batcher import CrossRunBatcher
 from .cache import FactorCache
 from .runners import RunContext, get_runner
 
@@ -110,24 +111,19 @@ class _Job:
 
 
 class Session:
-    """A many-run solver service over a shared cache, batcher, and pool.
+    """A many-run solver service over a shared cache and projector pool.
 
     Parameters
     ----------
     workers:
-        Worker-thread count (the batching axis: up to ``workers`` runs
-        co-reside, so fused applies carry up to ``workers`` runs' elements).
+        Worker-thread count: up to ``workers`` runs execute concurrently
+        (measured slower than 1 below K ~ 1536; see the module docstring).
     cache:
         A :class:`FactorCache` to share; built internally when omitted
         (``max_cache_bytes`` caps it).
-    batching:
-        Master switch for cross-run apply fusion.  Individual runs opt
-        out via ``RunSpec(batched=False)``.
     reports:
         Record a schema-versioned per-run report for every run (enables
         the obs layer for the session's lifetime).
-    window_seconds:
-        Batcher rendezvous window (see :class:`CrossRunBatcher`).
     projection_window:
         History length of the shared projector pool.
 
@@ -136,11 +132,9 @@ class Session:
 
     def __init__(
         self,
-        workers: int = 4,
+        workers: int = 1,
         cache: Optional[FactorCache] = None,
-        batching: bool = True,
         reports: bool = True,
-        window_seconds: float = 1e-3,
         max_cache_bytes: Optional[int] = None,
         projection_window: int = 20,
     ):
@@ -148,8 +142,6 @@ class Session:
             raise ValueError("need at least one worker")
         self.workers = int(workers)
         self.cache = cache if cache is not None else FactorCache(max_cache_bytes)
-        self.batching = bool(batching)
-        self.batcher = CrossRunBatcher(window_seconds=window_seconds)
         self.projectors = ProjectorPool(max_vectors=projection_window)
         self.reports = bool(reports)
         self._queue: "queue.Queue[Optional[_Job]]" = queue.Queue()
@@ -198,21 +190,12 @@ class Session:
             rng=np.random.default_rng(spec.seed),
             projectors=self.projectors if spec.share_projection else None,
         )
-        use_batch = self.batching and spec.batched
         t0 = time.perf_counter()
         with obs.run_scope() as scope:
-            prev_hook = None
-            if use_batch:
-                self.batcher.register()
-                prev_hook = _dispatch.set_batch_hook(self.batcher)
             try:
                 result.payload = get_runner(spec.workload)(spec, ctx)
             except BaseException as exc:
                 result.error = exc
-            finally:
-                if use_batch:
-                    _dispatch.set_batch_hook(prev_hook)
-                    self.batcher.unregister()
             result.wall_seconds = time.perf_counter() - t0
             if self.reports:
                 result.report = scope.report(meta=self._run_meta(result))
@@ -226,7 +209,6 @@ class Session:
                 "workload": spec.workload,
                 "label": spec.label,
                 "seed": spec.seed,
-                "batched": bool(self.batching and spec.batched),
                 "config": spec.config.as_dict(),
                 "ok": result.ok,
                 "wall_seconds": result.wall_seconds,
@@ -280,7 +262,11 @@ class Session:
             "busy_seconds": float(busy),
             "throughput_runs_per_s": (len(done) / wall) if wall > 0 else 0.0,
             "cache": self.cache.as_dict(),
-            "batching": {"enabled": self.batching, **self.batcher.stats.as_dict()},
+            # Constants: there is no cross-run fusion.  Kept only because
+            # bench/workloads.py (sweep64, traced runs) reads these two keys
+            # for the service.batcher.* per-layer metrics; the literal goes
+            # when a benchmark PR drops those metrics.
+            "batching": {"fused_groups": 0, "mean_occupancy": 1.0},
             # All worker threads share the process-global dispatcher, and
             # its tuned winners persist on disk (REPRO_TUNING_CACHE), so
             # sibling sessions and restarted services skip re-tuning.

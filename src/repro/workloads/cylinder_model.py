@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..api import DEPRECATED, SolverConfig, resolve_config
+from ..api import SolverConfig
 from ..core.mesh import Mesh, box_mesh_2d, map_mesh
 from ..core.pressure import PressureOperator
 from ..solvers.cg import pcg
@@ -143,24 +143,8 @@ class Table2Case:
             overlap=config.overlap, use_coarse=config.use_coarse,
         )
 
-    def run(
-        self,
-        config: Optional[SolverConfig] = None,
-        variant: str = DEPRECATED,
-        overlap: int = DEPRECATED,
-        use_coarse: bool = DEPRECATED,
-        tol: float = DEPRECATED,
-        maxiter: int = DEPRECATED,
-    ) -> Table2Result:
-        config = resolve_config(
-            "Table2Case.run",
-            config,
-            pressure_variant=variant,
-            overlap=overlap,
-            use_coarse=use_coarse,
-            tol=tol,
-            maxiter=maxiter,
-        )
+    def run(self, config: Optional[SolverConfig] = None) -> Table2Result:
+        config = config if config is not None else SolverConfig()
         t0 = time.perf_counter()
         if self._cache is not None:
             precond = self._cache.get(

@@ -1,25 +1,14 @@
-"""Typed config API: SolverConfig/RunSpec semantics, deprecation shims,
-facade constructors, and the repo-wide deprecated-signature lint."""
+"""Typed config API: SolverConfig/RunSpec semantics, config-only solver
+constructors, and the facade constructors."""
 
 from __future__ import annotations
 
-import ast
-import pathlib
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.api import (
-    DEPRECATED,
-    RunSpec,
-    SolverConfig,
-    poisson_solver,
-    resolve_config,
-    table2_case,
-)
-
-REPO = pathlib.Path(__file__).resolve().parent.parent
+from repro.api import RunSpec, SolverConfig, poisson_solver, table2_case
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +57,6 @@ class TestRunSpec:
             seed=7,
             label="row3",
             tags=("sweep",),
-            batched=False,
             share_projection=True,
         )
         back = RunSpec.from_dict(spec.as_dict())
@@ -77,54 +65,30 @@ class TestRunSpec:
     def test_from_dict_minimal(self):
         spec = RunSpec.from_dict({"workload": "poisson"})
         assert spec.config == SolverConfig()
-        assert spec.seed == 0 and spec.batched is True
+        assert spec.seed == 0 and spec.share_projection is False
+
+    def test_from_dict_rejects_unknown_keys(self):
+        # "parms" would otherwise silently run the default level; a stale
+        # "batched" key from an old client must not be ignored either.
+        with pytest.raises(ValueError, match=r"unknown.*batched.*parms"):
+            RunSpec.from_dict({"workload": "table2", "parms": {"level": 1},
+                               "batched": False})
 
 
 # ---------------------------------------------------------------------------
-# resolve_config / deprecation shims
+# config= is the only spelling of the solver-stack decisions
 # ---------------------------------------------------------------------------
 class TestResolveConfig:
-    def test_passthrough_without_legacy(self):
-        c = SolverConfig(tol=1e-9)
-        assert resolve_config("X", c) is c
-        assert resolve_config("X", None) == SolverConfig()
-
-    def test_legacy_kwargs_warn_and_build_config(self):
-        with pytest.warns(DeprecationWarning, match="X: keyword"):
-            c = resolve_config("X", None, overlap=3, tol=DEPRECATED)
-        assert c.overlap == 3
-        assert c.tol == SolverConfig().tol  # DEPRECATED sentinel ignored
-
-    def test_both_sources_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_config("X", SolverConfig(), overlap=3)
-
-    def test_table2_run_shim(self, table2_fast_case):
-        case, config = table2_fast_case
-        with pytest.warns(DeprecationWarning, match="Table2Case.run"):
-            legacy = case.run(variant="fdm", maxiter=config.maxiter,
-                              tol=config.tol)
-        modern = case.run(config)
-        assert legacy.iterations == modern.iterations
-
-    def test_navier_stokes_shim_warns(self):
-        from repro import NavierStokesSolver, VelocityBC, box_mesh_2d
-
-        mesh = box_mesh_2d(2, 2, 4, periodic=(True, True))
-        with pytest.warns(DeprecationWarning, match="NavierStokesSolver"):
-            sol = NavierStokesSolver(mesh, re=10.0, dt=0.1,
-                                     bc=VelocityBC.none(mesh),
-                                     projection_window=5)
-        assert sol.config.projection_window == 5
-        assert sol.projector.max_vectors == 5
-
-    def test_stokes_shim_warns(self):
-        from repro import StokesSolver, box_mesh_2d
+    def test_old_keywords_are_type_errors(self):
+        from repro import NavierStokesSolver, StokesSolver, box_mesh_2d
 
         mesh = box_mesh_2d(2, 2, 4)
-        with pytest.warns(DeprecationWarning, match="StokesSolver"):
-            sol = StokesSolver(mesh, pressure_variant="fdm")
-        assert sol.config.pressure_variant == "fdm"
+        with pytest.raises(TypeError, match="projection_window"):
+            NavierStokesSolver(mesh, re=10.0, dt=0.1, projection_window=5)
+        with pytest.raises(TypeError, match="pressure_variant"):
+            StokesSolver(mesh, pressure_variant="fdm")
+        with pytest.raises(TypeError, match="variant"):
+            table2_case(level=0, order=3).run(variant="fdm")
 
     def test_stokes_default_maxiter_is_preserved(self):
         from repro import StokesSolver, box_mesh_2d
@@ -142,13 +106,6 @@ class TestResolveConfig:
             NavierStokesSolver(mesh, re=10.0, dt=0.1,
                                bc=VelocityBC.none(mesh),
                                config=SolverConfig(projection_window=5))
-
-
-@pytest.fixture(scope="module")
-def table2_fast_case():
-    from repro.workloads.cylinder_model import Table2Case
-
-    return Table2Case(level=0, order=3), SolverConfig(maxiter=300)
 
 
 # ---------------------------------------------------------------------------
@@ -201,63 +158,3 @@ class TestFacades:
                                             cache=cache)
         assert other is not pmg
         assert [l.order for l in olevels] == [8, 4, 2, 1]
-
-
-# ---------------------------------------------------------------------------
-# Deprecation lint: the repo itself must not use the old signatures.
-# ---------------------------------------------------------------------------
-#: constructor name -> keywords now owned by SolverConfig.
-_DEPRECATED_KWARGS = {
-    "NavierStokesSolver": {"projection_window", "pressure_variant",
-                           "pressure_tol", "helmholtz_tol"},
-    "StokesSolver": {"pressure_variant", "velocity_tol", "pressure_tol",
-                     "maxiter"},
-}
-#: keywords that mark a legacy Table2Case.run(...) call.
-_DEPRECATED_RUN_KWARGS = {"variant", "overlap", "use_coarse"}
-
-
-def _callee_name(node: ast.Call):
-    f = node.func
-    if isinstance(f, ast.Name):
-        return f.id
-    if isinstance(f, ast.Attribute):
-        return f.attr
-    return None
-
-
-def _lint_file(path: pathlib.Path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    offenses = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _callee_name(node)
-        kw = {k.arg for k in node.keywords if k.arg}
-        if name in _DEPRECATED_KWARGS and kw & _DEPRECATED_KWARGS[name]:
-            offenses.append(
-                f"{path}:{node.lineno}: {name}({sorted(kw & _DEPRECATED_KWARGS[name])})"
-            )
-        if name == "run" and kw & _DEPRECATED_RUN_KWARGS:
-            offenses.append(
-                f"{path}:{node.lineno}: .run({sorted(kw & _DEPRECATED_RUN_KWARGS)})"
-            )
-    return offenses
-
-
-def test_no_in_repo_caller_uses_deprecated_signatures():
-    """src/, benchmarks/, and examples/ must use config=SolverConfig(...).
-
-    tests/ are exempt — the shims themselves are under test there.  The
-    definition sites (the shim parameter lists and resolve_config calls)
-    do not trip the lint because it only inspects *call* keywords on the
-    solver constructors and ``.run``.
-    """
-    offenses = []
-    for root in ("src", "benchmarks", "examples"):
-        for path in sorted((REPO / root).rglob("*.py")):
-            offenses.extend(_lint_file(path))
-    assert not offenses, (
-        "deprecated solver signatures still used in-repo:\n"
-        + "\n".join(offenses)
-    )

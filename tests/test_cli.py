@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import io
+import json
+
 import pytest
 
 from repro.cli import main
@@ -63,3 +66,23 @@ class TestCLI:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_sweep_prints_throughput_and_cache(self, capsys):
+        assert main(["sweep", "--runs", "6", "--workers", "2",
+                     "--level", "0", "--order", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "sweep: 6 runs on 2 workers" in out
+        assert "throughput:" in out and "runs/s" in out
+        assert "cache:" in out and "hit rate" in out
+        assert "batching" not in out
+
+    def test_serve_emits_result_lines_and_summary(self, capsys, monkeypatch):
+        spec = {"workload": "table2", "params": {"level": 0, "order": 3},
+                "config": {"maxiter": 200}}
+        lines = [json.dumps(dict(spec, label=tag)) for tag in ("a", "b")]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        assert main(["serve"]) == 0
+        docs = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert [d["label"] for d in docs[:2]] == ["a", "b"]
+        assert all(d["ok"] and d["converged"] for d in docs[:2])
+        assert len(docs) == 3 and docs[2]["summary"]["runs"] == 2

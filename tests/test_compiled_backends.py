@@ -154,34 +154,6 @@ class TestFlopAccounting:
             assert total == ref_total, f"{name}: {total} != {ref_total}"
             assert cats == ref_cats
 
-    def test_fused_and_hook_paths_tally_identically(self):
-        """apply_tensor counts the same flops whether it runs fused through
-        one backend call or decomposed into per-stage hook calls."""
-        rng = np.random.default_rng(10)
-        u = rng.standard_normal((4, 6, 6))
-        ops = (rng.standard_normal((5, 6)), rng.standard_normal((3, 6)))
-        with counting() as fused:
-            ref = dispatch.apply_tensor(ops, u)
-
-        class _PassThrough:
-            calls = []
-
-            def apply_1d(self, op, f, direction, out):
-                self.calls.append((op.shape, f.shape, direction))
-                return dispatch.active_backend().apply_1d(op, f, direction, out=out)
-
-        hook = _PassThrough()
-        prev = dispatch.set_batch_hook(hook)
-        try:
-            with counting() as composed:
-                got = dispatch.apply_tensor(ops, u)
-        finally:
-            dispatch.set_batch_hook(prev)
-        assert fused.total() == composed.total()
-        # The hook saw one sanitized stage per non-identity direction.
-        assert [c[2] for c in hook.calls] == [0, 1]
-        _assert_parity(got, ref)
-
 
 class TestCapabilities:
     def test_every_registered_backend_reports_all_points(self):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.api import SolverConfig
 from repro.backends import dispatch
 from repro.core.mesh import box_mesh_2d, box_mesh_3d, map_mesh
 from repro.core.operators import (
@@ -262,8 +263,8 @@ class TestTable2Parity:
         case = Table2Case(0, 7)
         pop = case.pop
         obs.enable()
-        r_fdm = case.run(variant="fdm", tol=1e-5)
-        r_cond = case.run(variant="condensed", tol=1e-5)
+        r_fdm = case.run(SolverConfig(pressure_variant="fdm"))
+        r_cond = case.run(SolverConfig(pressure_variant="condensed"))
         assert r_fdm.converged and r_cond.converged
         records = telemetry.solves_for("table2_pressure")
         assert [s.iterations for s in records] == [
@@ -294,7 +295,9 @@ class TestFlowSolverIntegration:
         from repro.ns.stokes import StokesSolver
 
         mesh = box_mesh_2d(3, 3, 5)
-        sol = StokesSolver(mesh, pressure_variant="condensed")
+        sol = StokesSolver(
+            mesh, config=SolverConfig(pressure_variant="condensed", maxiter=400)
+        )
         assert type(sol.precond).__name__ == "CondensedEPreconditioner"
         res = sol.solve(
             forcing=lambda x, y: (
@@ -312,7 +315,7 @@ class TestFlowSolverIntegration:
         mesh = box_mesh_2d(2, 2, 5, x1=L, y1=L, periodic=(True, True))
         sol = NavierStokesSolver(
             mesh, re=50.0, dt=0.02, bc=VelocityBC.none(mesh),
-            pressure_variant="condensed",
+            config=SolverConfig(pressure_variant="condensed"),
         )
         sol.set_initial_condition([
             lambda x, y: -np.cos(x) * np.sin(y),

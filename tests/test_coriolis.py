@@ -4,6 +4,7 @@ configuration of Fig. 1 (rotating convection)."""
 import numpy as np
 import pytest
 
+from repro.api import SolverConfig
 from repro.core.mesh import box_mesh_2d, box_mesh_3d
 from repro.ns.bcs import ScalarBC, VelocityBC
 from repro.ns.navier_stokes import NavierStokesSolver
@@ -48,7 +49,7 @@ class TestRotatingDynamics:
         def run(f):
             sol = NavierStokesSolver(m, re=200.0, dt=0.02, bc=VelocityBC.none(m),
                                      convection="ext", coriolis=f,
-                                     projection_window=6)
+                                     config=SolverConfig(projection_window=6))
             sol.set_initial_condition([
                 lambda x, y: -np.cos(x) * np.sin(y),
                 lambda x, y: np.sin(x) * np.cos(y),
@@ -70,7 +71,7 @@ class TestRotatingDynamics:
         flow = NavierStokesSolver(m, re=500.0, dt=0.02,
                                   bc=VelocityBC.no_slip_all(m),
                                   convection="ext", coriolis=f,
-                                  pressure_tol=1e-8)
+                                  config=SolverConfig(pressure_tol=1e-8))
         flow.set_initial_condition([lambda x, y: 0 * x, lambda x, y: 0 * x])
         tr = ScalarTransport(flow, peclet=500.0,
                              bc=ScalarBC(m, {"ymin": 1.0, "ymax": 0.0}))
@@ -101,7 +102,7 @@ class TestRotatingDynamics:
         f = 1.5
         sol = NavierStokesSolver(m, re=1e8, dt=0.005, bc=VelocityBC.none(m),
                                  convection="none", coriolis=f,
-                                 projection_window=0)
+                                 config=SolverConfig(projection_window=0))
         sol.set_initial_condition([lambda x, y: np.ones_like(x),
                                    lambda x, y: np.zeros_like(x)])
         n = 100

@@ -1,6 +1,8 @@
-"""Documentation consistency: every code block in docs/TUTORIAL.md and the
-README quickstart must actually run."""
+"""Documentation consistency: every code block in docs/TUTORIAL.md, the
+README quickstart and the docs/SERVICE.md quick start must actually run,
+and the generated docs/API.md must match the package."""
 
+import importlib.util
 import pathlib
 import re
 
@@ -42,3 +44,23 @@ class TestTutorial:
         assert block
         code = "\n".join(l[4:] for l in block[0].splitlines())
         exec(compile(code, "<package docstring>", "exec"), {})
+
+    def test_service_quickstart_runs(self):
+        blocks = extract_blocks(ROOT / "docs" / "SERVICE.md")
+        assert blocks, "docs/SERVICE.md has no python quick start"
+        exec(compile(blocks[0], "<service quick start>", "exec"), {})
+
+
+def test_api_reference_is_current():
+    """docs/API.md is what docs/gen_api.py renders now, and the rendering
+    is reproducible (no object addresses leak into it)."""
+    spec = importlib.util.spec_from_file_location(
+        "gen_api", ROOT / "docs" / "gen_api.py"
+    )
+    gen_api = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_api)
+    text = gen_api.render()
+    assert " at 0x" not in text
+    assert text == (ROOT / "docs" / "API.md").read_text(), (
+        "docs/API.md is stale: run PYTHONPATH=src python docs/gen_api.py"
+    )

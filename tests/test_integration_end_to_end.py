@@ -19,8 +19,12 @@ from repro import (
     save_checkpoint,
     save_vtk,
 )
+from repro.api import SolverConfig
 from repro.perf.flops import counting
 from repro.workloads.hairpin import bump_channel_mesh
+
+
+CONFIG = SolverConfig(projection_window=12, pressure_tol=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +34,7 @@ def production_run(tmp_path_factory):
     bc = VelocityBC(mesh, {"zmin": (0.0, 0.0, 0.0), "zmax": (1.0, 0.0, 0.0)})
     flow = NavierStokesSolver(
         mesh, re=800.0, dt=0.04, bc=bc, convection="oifs",
-        filter_alpha=0.1, projection_window=12, pressure_tol=1e-6,
+        filter_alpha=0.1, config=CONFIG,
     )
     flow.set_initial_condition([
         lambda x, y, z: np.clip(z / 0.4, 0, 1) * (2 - np.clip(z / 0.4, 0, 1)),
@@ -94,7 +98,7 @@ class TestEndToEnd:
         bc = VelocityBC(mesh, {"zmin": (0.0, 0.0, 0.0), "zmax": (1.0, 0.0, 0.0)})
         fresh = NavierStokesSolver(
             mesh, re=800.0, dt=0.04, bc=bc, convection="oifs",
-            filter_alpha=0.1, projection_window=12, pressure_tol=1e-6,
+            filter_alpha=0.1, config=CONFIG,
         )
         load_checkpoint(ck, fresh)
         assert fresh.t == pytest.approx(flow.t)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import SolverConfig
 from repro.core.io import load_checkpoint, save_checkpoint, save_vtk
 from repro.core.mesh import box_mesh_2d, box_mesh_3d, map_mesh
 from repro.ns.bcs import VelocityBC
@@ -58,7 +59,8 @@ class TestCheckpoint:
         L = 2 * np.pi
         mesh = box_mesh_2d(3, 3, 5, x1=L, y1=L, periodic=(True, True))
         sol = NavierStokesSolver(mesh, re=30.0, dt=0.05, bc=VelocityBC.none(mesh),
-                                 convection="ext", projection_window=5)
+                                 convection="ext",
+                                 config=SolverConfig(projection_window=5))
         sol.set_initial_condition([
             lambda x, y: -np.cos(x) * np.sin(y),
             lambda x, y: np.sin(x) * np.cos(y),

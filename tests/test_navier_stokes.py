@@ -4,18 +4,21 @@ splitting accuracy, OIFS stability at CFL > 1, and diagnostics."""
 import numpy as np
 import pytest
 
+from repro.api import SolverConfig
 from repro.core.mesh import box_mesh_2d, box_mesh_3d
 from repro.ns.bcs import ScalarBC, VelocityBC
 from repro.ns.navier_stokes import BDF_COEFFS, EXT_COEFFS, NavierStokesSolver
 from repro.ns.scalar import BoussinesqCoupling, ScalarTransport
 
 
-def taylor_green_solver(N=7, ne=4, dt=0.02, re=20.0, **kw):
+def taylor_green_solver(N=7, ne=4, dt=0.02, re=20.0, projection_window=8, **kw):
     L = 2 * np.pi
     mesh = box_mesh_2d(ne, ne, N, x1=L, y1=L, periodic=(True, True))
     kw.setdefault("convection", "ext")
-    kw.setdefault("projection_window", 8)
-    sol = NavierStokesSolver(mesh, re=re, dt=dt, bc=VelocityBC.none(mesh), **kw)
+    sol = NavierStokesSolver(
+        mesh, re=re, dt=dt, bc=VelocityBC.none(mesh),
+        config=SolverConfig(projection_window=projection_window), **kw
+    )
     sol.set_initial_condition(
         [lambda x, y: -np.cos(x) * np.sin(y), lambda x, y: np.sin(x) * np.cos(y)]
     )
@@ -206,7 +209,8 @@ class Test3D:
         mesh = box_mesh_3d(2, 2, 2, 5, x1=L, y1=L, z1=L, periodic=(True, True, True))
         sol = NavierStokesSolver(
             mesh, re=50.0, dt=0.05, bc=VelocityBC.none(mesh),
-            convection="ext", projection_window=5, pressure_tol=1e-7,
+            convection="ext",
+            config=SolverConfig(projection_window=5, pressure_tol=1e-7),
         )
         sol.set_initial_condition(
             [
@@ -281,7 +285,7 @@ class TestBoussinesq:
         mesh = box_mesh_2d(4, 2, 5, x1=2.0)
         bc = VelocityBC.no_slip_all(mesh)
         flow = NavierStokesSolver(mesh, re=1.0, dt=0.02, bc=bc, convection="ext",
-                                  pressure_tol=1e-7)
+                                  config=SolverConfig(pressure_tol=1e-7))
         flow.set_initial_condition([lambda x, y: 0 * x, lambda x, y: 0 * x])
         sbc = ScalarBC(mesh, {"ymin": 1.0, "ymax": 0.0})
         tr = ScalarTransport(flow, peclet=1.0, bc=sbc)
@@ -314,8 +318,10 @@ class TestKovasznay:
         ve = lambda x, y: (lam / (2 * np.pi)) * np.exp(lam * x) * np.sin(2 * np.pi * y)  # noqa: E731
         mesh = box_mesh_2d(3, 2, 9, x0=-0.5, x1=1.0, y0=-0.5, y1=0.5)
         bc = VelocityBC(mesh, {s: (ue, ve) for s in mesh.boundary})
-        sol = NavierStokesSolver(mesh, re=re, dt=0.01, bc=bc, convection="oifs",
-                                 projection_window=15, pressure_tol=1e-10)
+        sol = NavierStokesSolver(
+            mesh, re=re, dt=0.01, bc=bc, convection="oifs",
+            config=SolverConfig(projection_window=15, pressure_tol=1e-10),
+        )
         sol.set_initial_condition([ue, ve])
         sol.advance(200)
         ke1 = sol.kinetic_energy()

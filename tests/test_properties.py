@@ -222,6 +222,7 @@ def test_checkpoint_roundtrip_arbitrary_state(steps, seed):
     number of steps."""
     import tempfile
 
+    from repro.api import SolverConfig
     from repro.core.io import load_checkpoint, save_checkpoint
     from repro.ns.bcs import VelocityBC
     from repro.ns.navier_stokes import NavierStokesSolver
@@ -231,7 +232,8 @@ def test_checkpoint_roundtrip_arbitrary_state(steps, seed):
 
     def build():
         s = NavierStokesSolver(mesh, re=20.0, dt=0.05, bc=VelocityBC.none(mesh),
-                               convection="ext", projection_window=4)
+                               convection="ext",
+                               config=SolverConfig(projection_window=4))
         rng = np.random.default_rng(seed)
         c = rng.uniform(0.5, 1.5)
         s.set_initial_condition([

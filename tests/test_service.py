@@ -1,4 +1,4 @@
-"""Service layer: FactorCache, CrossRunBatcher, Session.
+"""Service layer: FactorCache, Session, ProjectorPool.
 
 The load-bearing guarantees under test:
 
@@ -6,9 +6,8 @@ The load-bearing guarantees under test:
   rectilinear mesh of the same element counts;
 * concurrent misses on one key build exactly once; LRU eviction respects
   the byte cap;
-* runs executed concurrently with cross-run batching are **bitwise
-  identical** to the same runs executed solo (matmul backend pinned —
-  see the determinism note in repro/service/batcher.py);
+* runs executed concurrently in a session are **bitwise identical** to
+  the same runs executed solo, under a fixed backend and under ``auto``;
 * per-run reports and the service summary validate against the report
   schema.
 """
@@ -23,11 +22,9 @@ import pytest
 
 from repro import obs
 from repro.api import RunSpec, SolverConfig
-from repro.backends import dispatch as _dispatch
 from repro.backends.dispatch import use_backend
 from repro.core.mesh import box_mesh_2d, map_mesh
 from repro.service import (
-    CrossRunBatcher,
     FactorCache,
     ProjectorPool,
     Session,
@@ -198,113 +195,9 @@ class TestSignatures:
 
 
 # ---------------------------------------------------------------------------
-# CrossRunBatcher
-# ---------------------------------------------------------------------------
-class TestBatcher:
-    def test_two_thread_rendezvous_fuses_and_matches_solo(self):
-        """Two registered threads submitting the same-key apply fuse into
-        one backend call whose pieces equal the solo results bitwise."""
-        op = np.random.default_rng(0).standard_normal((5, 5))
-        fields = [
-            np.random.default_rng(i + 1).standard_normal((4, 5, 5))
-            for i in range(2)
-        ]
-        with use_backend("matmul") as backend:
-            solo = [backend.apply_1d(op, f, 0) for f in fields]
-            batcher = CrossRunBatcher(window_seconds=5.0)
-            results = [None] * 2
-            errors = []
-            gate = threading.Barrier(2)
-
-            def worker(i):
-                batcher.register()
-                prev = _dispatch.set_batch_hook(batcher)
-                try:
-                    gate.wait()  # both registered before either submits
-                    results[i] = _dispatch.apply_1d(op, fields[i], 0)
-                except BaseException as exc:  # pragma: no cover
-                    errors.append(exc)
-                finally:
-                    _dispatch.set_batch_hook(prev)
-                    batcher.unregister()
-
-            threads = [threading.Thread(target=worker, args=(i,))
-                       for i in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        assert not errors
-        for got, want in zip(results, solo):
-            np.testing.assert_array_equal(got, want)
-        assert batcher.stats.submitted == 2
-        assert batcher.stats.backend_calls == 1
-        assert batcher.stats.fused_groups == 1
-        assert batcher.stats.max_occupancy == 2
-
-    def test_solo_thread_does_not_deadlock(self):
-        op = np.eye(4)
-        u = np.arange(3 * 4 * 4, dtype=float).reshape(3, 4, 4)
-        with use_backend("matmul"):
-            batcher = CrossRunBatcher(window_seconds=10.0)
-            batcher.register()
-            prev = _dispatch.set_batch_hook(batcher)
-            try:
-                t0 = time.perf_counter()
-                out = _dispatch.apply_1d(op, u, 1)
-            finally:
-                _dispatch.set_batch_hook(prev)
-                batcher.unregister()
-        # Single registered thread => waiting >= active => immediate flush.
-        assert time.perf_counter() - t0 < 1.0
-        np.testing.assert_array_equal(out, u)
-        assert batcher.stats.max_occupancy == 1
-
-    def test_non_fusable_backend_executes_per_entry(self):
-        op = np.random.default_rng(3).standard_normal((4, 4))
-        fields = [
-            np.random.default_rng(i + 7).standard_normal((2, 4, 4))
-            for i in range(2)
-        ]
-        with use_backend("flat") as backend:
-            solo = [backend.apply_1d(op, f, 0) for f in fields]
-            batcher = CrossRunBatcher(window_seconds=5.0)
-            results = [None] * 2
-
-            def worker(i):
-                batcher.register()
-                prev = _dispatch.set_batch_hook(batcher)
-                try:
-                    results[i] = _dispatch.apply_1d(op, fields[i], 0)
-                finally:
-                    _dispatch.set_batch_hook(prev)
-                    batcher.unregister()
-
-            threads = [threading.Thread(target=worker, args=(i,))
-                       for i in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        for got, want in zip(results, solo):
-            np.testing.assert_array_equal(got, want)
-        assert batcher.stats.fused_groups == 0
-        assert batcher.stats.backend_calls == 2
-
-    def test_error_propagates_to_waiter(self):
-        batcher = CrossRunBatcher(window_seconds=5.0)
-        batcher.register()
-        # Malformed entry: args unpacking fails inside the flush, the
-        # exception must surface on the submitting thread.
-        with pytest.raises(Exception):
-            batcher._submit(("a1", 0, (1,), 0), (None,), None)
-        batcher.unregister()
-
-
-# ---------------------------------------------------------------------------
 # Session
 # ---------------------------------------------------------------------------
-def _poisson_specs(n_runs, *, batched=True, n=3, order=5, deformed=False):
+def _poisson_specs(n_runs, *, n=3, order=5, deformed=False):
     return [
         RunSpec(
             "poisson",
@@ -312,7 +205,6 @@ def _poisson_specs(n_runs, *, batched=True, n=3, order=5, deformed=False):
             config=SolverConfig(tol=1e-8),
             seed=100 + i,
             label=f"run{i}",
-            batched=batched,
         )
         for i in range(n_runs)
     ]
@@ -324,11 +216,13 @@ class TestSession:
         for expected in ("table2", "poisson", "stokes", "shear_layer"):
             assert expected in names
 
-    def test_concurrent_batched_runs_bitwise_match_solo(self):
-        """The acceptance-criteria determinism probe: 6 concurrent batched
-        runs produce bitwise-identical solutions to solo execution."""
+    @pytest.mark.parametrize("backend", ["matmul", "auto"])
+    def test_concurrent_runs_bitwise_match_solo(self, backend):
+        """The determinism probe: 6 concurrent runs produce solutions
+        bitwise identical to solo execution — a session run executes the
+        very code ``execute`` does, so no backend needs pinning."""
         specs = _poisson_specs(6)
-        with use_backend("matmul"):
+        with use_backend(backend):
             solo = [execute(s) for s in specs]
             with Session(workers=3) as sess:
                 results = sess.run(specs)
@@ -337,15 +231,6 @@ class TestSession:
             np.testing.assert_array_equal(r.payload["x"], s["x"])
             assert r.payload["iterations"] == s["iterations"]
         assert results[0].payload["converged"]
-
-    def test_unbatched_session_also_matches(self):
-        specs = _poisson_specs(4, batched=False)
-        with use_backend("matmul"):
-            solo = [execute(s) for s in specs]
-            with Session(workers=2, batching=False) as sess:
-                results = sess.run(specs)
-        for r, s in zip(results, solo):
-            np.testing.assert_array_equal(r.payload["x"], s["x"])
 
     def test_cache_is_shared_across_runs(self):
         specs = _poisson_specs(5)
@@ -390,11 +275,22 @@ class TestSession:
             assert meta["workload"] == "poisson"
             assert meta["seed"] == r.spec.seed
             assert meta["ok"] is True
+            assert "batched" not in meta
         obs.validate_report(service_report)
         svc = service_report["service"]
         assert svc["runs"] == 2
-        assert set(svc["batching"]) >= {"enabled", "submitted",
-                                        "backend_calls", "fused_groups"}
+        # The service section validates without the six-key batching block
+        # (and without any batching key at all) ...
+        assert "enabled" not in svc["batching"]
+        bare = {k: v for k, v in svc.items() if k != "batching"}
+        obs.validate_report({**service_report, "service": bare})
+        # ... and a document written before the batcher was deleted, which
+        # carries that block, still validates.
+        old = dict(bare, batching={
+            "enabled": True, "submitted": 10, "backend_calls": 9,
+            "fused_groups": 1, "mean_occupancy": 1.1, "max_occupancy": 2,
+        })
+        obs.validate_report({**service_report, "service": old})
 
     def test_failed_run_is_contained(self):
         from repro.service import register

@@ -157,10 +157,10 @@ class TestCylinderModel:
         """The Table 2 orderings at level 0: coarse grid essential; FDM
         competitive with FEM in iterations and cheaper in cpu."""
         case = Table2Case(level=0, order=7)
-        fdm = case.run(variant="fdm")
-        fem0 = case.run(variant="fem", overlap=0)
-        fem1 = case.run(variant="fem", overlap=1)
-        no_coarse = case.run(variant="fdm", use_coarse=False)
+        fdm = case.run(SolverConfig(pressure_variant="fdm"))
+        fem0 = case.run(SolverConfig(pressure_variant="fem", overlap=0))
+        fem1 = case.run(SolverConfig(pressure_variant="fem", overlap=1))
+        no_coarse = case.run(SolverConfig(pressure_variant="fdm", use_coarse=False))
         assert all(r.converged for r in (fdm, fem0, fem1, no_coarse))
         assert no_coarse.iterations > 2 * fdm.iterations
         assert fem1.iterations <= fem0.iterations
