@@ -1,4 +1,4 @@
-"""Pluggable kernel backends with shape-aware auto-tuned dispatch.
+"""Kernel backends with shape-aware auto-tuned dispatch.
 
 The paper's Section 6 finding — mxm kernels are >90% of all flops and no
 single kernel wins on every calling shape (Table 3) — becomes an
@@ -11,14 +11,10 @@ Layout:
 * :mod:`repro.backends.base`           — :class:`KernelBackend` protocol and
   :class:`Workspace` buffer pool (zero-allocation hot paths),
 * :mod:`repro.backends.numpy_backends` — the ``matmul`` / ``einsum`` /
-  ``flat`` kernel family,
-* :mod:`repro.backends.numba_backend`  — optional ``@njit`` compiled
-  small-DGEMM loop nests (registered only when numba imports),
-* :mod:`repro.backends.cupy_backend`   — optional GPU-resident kernels
-  (registered only when cupy imports and a CUDA device is visible),
+  ``flat`` kernel family, the whole registry,
 * :mod:`repro.backends.dispatch`       — registry, sanitized entry points,
-  flop accounting, the :class:`AutoTuneDispatcher` (default), and the
-  persistent tuning table (``REPRO_TUNING_CACHE``).
+  flop accounting and the :class:`AutoTuneDispatcher` (default), which
+  picks a kernel per shape once per process.
 
 Select a backend with ``REPRO_BACKEND=matmul`` in the environment, the CLI
 ``--backend`` flag, or :func:`set_backend` / :func:`use_backend`; inspect
@@ -26,7 +22,6 @@ the tuner with :func:`backend_report`.  See docs/BACKENDS.md.
 """
 
 from .base import KERNEL_POINTS, KernelBackend, Workspace
-from .cupy_backend import HAVE_CUPY, CupyBackend
 from .dispatch import (
     AutoTuneDispatcher,
     active_backend,
@@ -40,15 +35,9 @@ from .dispatch import (
     get_backend,
     grad,
     grad_transpose,
-    machine_fingerprint,
-    register_backend,
     set_backend,
-    tuning_cache_path,
-    tuning_stats,
-    unregister_backend,
     use_backend,
 )
-from .numba_backend import HAVE_NUMBA, NumbaBackend
 from .numpy_backends import EinsumBackend, FlattenedBackend, MatmulBackend
 
 __all__ = [
@@ -59,12 +48,6 @@ __all__ = [
     "MatmulBackend",
     "EinsumBackend",
     "FlattenedBackend",
-    "NumbaBackend",
-    "CupyBackend",
-    "HAVE_NUMBA",
-    "HAVE_CUPY",
-    "register_backend",
-    "unregister_backend",
     "available_backends",
     "get_backend",
     "active_backend",
@@ -73,9 +56,6 @@ __all__ = [
     "backend_report",
     "backend_tallies",
     "dispatch_choices",
-    "machine_fingerprint",
-    "tuning_cache_path",
-    "tuning_stats",
     "apply_1d",
     "apply_tensor",
     "batched_matvec",

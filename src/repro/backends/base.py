@@ -10,20 +10,10 @@ module defines that layer's contract:
 * :class:`KernelBackend` — the protocol every kernel implementation obeys.
   The core operation is :meth:`KernelBackend.apply_1d`: apply a small dense
   operator along one tensor direction of a batched field, optionally into a
-  preallocated output.  ``grad``/``grad_transpose``/``apply_tensor`` have
-  default implementations in terms of ``apply_1d`` but may be overridden by
-  backends with fused variants — compiled backends override
-  :meth:`KernelBackend.apply_tensor` with a single all-directions kernel
-  that never materializes the intermediate stages in main memory.
-
-Each backend also carries *capability flags*: :meth:`KernelBackend.capabilities`
-reports, per kernel point, whether the backend implements it natively or
-through the composed default, and :meth:`KernelBackend.supports` gates
-which kernel points the dispatcher will route (and micro-benchmark) on
-that backend.  :meth:`KernelBackend.warmup` is the JIT hook: the
-dispatcher calls it once per backend (and performs untimed warm-up calls
-per shape) before any timing, so compilation latency never pollutes the
-auto-tuner's measurements.
+  preallocated output.  ``grad``/``grad_transpose``/``batched_matvec``/
+  ``apply_tensor`` have default implementations (``apply_tensor`` composes
+  per-stage ``apply_1d`` calls) that a backend may override with fused
+  variants.
 * :class:`Workspace` — a pool of named preallocated buffers so that hot
   loops (operator applies inside a CG iteration) perform no per-apply
   allocations.  Buffers are keyed by ``(name, shape)``; requesting the same
@@ -123,48 +113,18 @@ class KernelBackend(abc.ABC):
     #: registry name; subclasses override.
     name: str = "?"
 
-    #: kernel points this backend refuses outright; the dispatcher never
-    #: times or routes these here (composed defaults make every point
-    #: *implementable*, so this stays empty for the in-tree backends).
-    unsupported: frozenset = frozenset()
-
     def __init__(self) -> None:
         self.workspace = Workspace()
 
-    # ------------------------------------------------------------ capabilities
     def supports(self, point: str) -> bool:
-        """Whether the dispatcher may route kernel point ``point`` here."""
-        return point not in self.unsupported
+        """Whether kernel point ``point`` may be routed here: always ``True``.
 
-    def capabilities(self) -> Dict[str, str]:
-        """Per kernel point: ``"native"``, ``"composed"``, or ``"unsupported"``.
-
-        A point is *native* when the subclass overrides the protocol
-        method, *composed* when it runs through the inherited protocol
-        default (for ``apply_tensor`` that is per-stage ``apply_1d``
-        composition; for ``batched_matvec`` the generic batched
-        ``np.matmul``).  The dispatcher surfaces these flags in
-        :func:`repro.backends.backend_report` so a report reader can tell
-        a fused compiled kernel from a python-level composition.
+        Every backend implements every point (the composed defaults below
+        cover what a subclass does not override).  Kept because the
+        benchmark harness (``bench/workloads.py``) asks it before timing a
+        fixed backend on a replayed shape.
         """
-        flags = {}
-        for point in KERNEL_POINTS:
-            if not self.supports(point):
-                flags[point] = "unsupported"
-            elif getattr(type(self), point) is not getattr(KernelBackend, point):
-                flags[point] = "native"
-            else:
-                # apply_1d is abstract: any concrete backend implements it.
-                flags[point] = "native" if point == "apply_1d" else "composed"
-        return flags
-
-    def warmup(self) -> None:
-        """One-time preparation hook (JIT compilation, device context).
-
-        The dispatcher calls this once per backend before the backend's
-        first micro-benchmark, *outside* the timed section; per-shape
-        untimed warm-up calls follow.  Default: no-op.
-        """
+        return True
 
     @abc.abstractmethod
     def apply_1d(
@@ -237,9 +197,7 @@ class KernelBackend(abc.ABC):
         entry is a real operator (the dispatch layer short-circuits the
         all-identity case).  Default: sequential :meth:`apply_1d` stages
         ping-ponging through the backend's workspace, final stage into
-        ``out``.  Compiled backends override this with a fused kernel that
-        keeps the per-element intermediates in registers/cache instead of
-        streaming them through main memory.
+        ``out``.
         """
         stages = [(d, op) for d, op in enumerate(ops) if op is not None]
         cur = u

@@ -11,52 +11,29 @@ paper assigns to the tuned-kernel layer:
    ``out=`` aliasing the input is rejected.
 2. **Exact flop accounting.**  The analytic ``2 m n (size/n)`` count is
    tallied here, so :mod:`repro.perf.flops` stays correct regardless of
-   which kernel actually ran — CPU, compiled, or GPU.
+   which kernel actually ran.
 3. **Shape-aware dispatch.**  The default :class:`AutoTuneDispatcher` is
    the runtime analogue of the paper's N-specialized unrolled f2/f3
    kernels: the first time a ``(op shape, field shape, direction)``
-   signature is seen, every registered backend is micro-benchmarked on it
-   and the winner is cached for the rest of the process.  Because "no
-   single kernel is superior across all cases" (Section 6), the winner
-   genuinely varies with shape.
+   signature is seen, every registered kernel is micro-benchmarked on it
+   (one untimed warm-up call, then best of ``reps``) and the winner is
+   cached for the rest of the process.  Because "no single kernel is
+   superior across all cases" (Section 6), the winner genuinely varies
+   with shape.
 
-Heterogeneous backends are handled honestly:
-
-* **Warm-up / JIT exclusion** — before timing a backend on a shape, the
-  tuner calls :meth:`~repro.backends.base.KernelBackend.warmup` once per
-  backend and performs an untimed warm-up call per shape, so numba JIT
-  compilation and CUDA context creation never pollute the timings.
-* **Capability flags** — a backend that declares a kernel point
-  ``unsupported`` is never timed or routed on it
-  (:meth:`~repro.backends.base.KernelBackend.supports`); the report
-  distinguishes *native* from *composed* implementations.
-* **Persistent tuning table** — tuned winners are written to
-  ``~/.cache/repro/tuning.json`` (override/disable with
-  ``REPRO_TUNING_CACHE``), keyed by a machine fingerprint plus the
-  registered-backend set, so per-shape winners survive process restarts
-  and the service layer's worker pools don't each re-tune.  A table whose
-  fingerprint or backend set doesn't match the running process is
-  ignored.
-
-Selection: ``REPRO_BACKEND`` in the environment (validated at import
-against the registered names) or :func:`set_backend` / the ``--backend``
-CLI flag.  :func:`backend_report` exposes the tuner's choices, per-shape
-hit counts, and per-backend capability flags for observability;
-:func:`backend_tallies` aggregates dispatch counts per backend for the
-run report.
+The registry is fixed at import: the three numpy kernels ``matmul``,
+``einsum`` and ``flat``.  Selection: ``REPRO_BACKEND`` in the environment
+(validated at import against the registered names) or :func:`set_backend`
+/ the ``--backend`` CLI flag.  :func:`backend_report` exposes the tuner's
+choices and per-shape hit counts; :func:`backend_tallies` aggregates
+dispatch counts per backend for the run report.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import pathlib
-import platform
-import tempfile
 import threading
 import time
-import weakref
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -64,13 +41,9 @@ import numpy as np
 
 from ..perf.flops import add_flops
 from .base import KERNEL_POINTS, KernelBackend, Workspace
-from .cupy_backend import HAVE_CUPY, CupyBackend
-from .numba_backend import HAVE_NUMBA, NumbaBackend
 from .numpy_backends import EinsumBackend, FlattenedBackend, MatmulBackend
 
 __all__ = [
-    "register_backend",
-    "unregister_backend",
     "available_backends",
     "get_backend",
     "active_backend",
@@ -79,9 +52,6 @@ __all__ = [
     "backend_report",
     "backend_tallies",
     "dispatch_choices",
-    "machine_fingerprint",
-    "tuning_cache_path",
-    "tuning_stats",
     "AutoTuneDispatcher",
     "apply_1d",
     "grad",
@@ -98,53 +68,9 @@ BATCHED_MATVEC_DIR = -1
 APPLY_TENSOR_DIR = -2
 
 #: name -> backend instance (fixed kernels; the dispatcher sits above them).
-_REGISTRY: Dict[str, KernelBackend] = {}
-
-#: every live dispatcher instance, so registry changes invalidate all of
-#: them (tests and benchmarks build private dispatchers).
-_DISPATCHERS: "weakref.WeakSet[AutoTuneDispatcher]" = weakref.WeakSet()
-
-
-def register_backend(backend: KernelBackend) -> KernelBackend:
-    """Register a kernel backend under ``backend.name``.
-
-    Re-registering an existing name replaces the instance and invalidates
-    every cached per-shape winner that points at it (the new instance must
-    re-earn those shapes).  Registering a *new* name invalidates all
-    cached winners: every already-tuned shape gets re-benchmarked with
-    the new candidate in the field, and any loaded persistent table is
-    dropped (its backend-set key no longer matches).
-    """
-    if not backend.name or backend.name == "?":
-        raise ValueError("backend must define a non-empty name")
-    if backend.name == "auto":
-        raise ValueError("'auto' is reserved for the dispatcher")
-    is_new = backend.name not in _REGISTRY
-    _REGISTRY[backend.name] = backend
-    for disp in list(_DISPATCHERS):
-        disp.invalidate(backend.name, registry_changed=is_new)
-    return backend
-
-
-def unregister_backend(name: str) -> KernelBackend:
-    """Remove a backend from the registry (e.g. a failed optional backend).
-
-    Every dispatcher drops all cached winners (the candidate set changed,
-    so stale decisions must not survive) and re-tunes on the next call;
-    if the removed backend was the process-wide active one, dispatch
-    falls back to the auto dispatcher.
-    """
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown backend {name!r}; available: {available_backends()}"
-        )
-    global _ACTIVE
-    backend = _REGISTRY.pop(name)
-    for disp in list(_DISPATCHERS):
-        disp.invalidate(name, registry_changed=True)
-    if _ACTIVE is backend:
-        _ACTIVE = _DISPATCHER
-    return backend
+_REGISTRY: Dict[str, KernelBackend] = {
+    b.name: b for b in (MatmulBackend(), EinsumBackend(), FlattenedBackend())
+}
 
 
 def available_backends() -> List[str]:
@@ -164,71 +90,6 @@ def get_backend(name: str) -> KernelBackend:
         ) from None
 
 
-# ---------------------------------------------------------------------------
-# Persistent tuning table: machine fingerprint, cache path, wire format.
-# ---------------------------------------------------------------------------
-def machine_fingerprint() -> str:
-    """A short digest of what tuning timings depend on.
-
-    Hardware/software identity only — hostname and paths stay out so the
-    table is shareable between identical containers.  A persistent table
-    recorded under a different fingerprint is ignored.
-    """
-    raw = "|".join(
-        [
-            platform.machine(),
-            platform.system(),
-            platform.python_implementation(),
-            platform.python_version(),
-            np.__version__,
-            str(os.cpu_count() or 0),
-        ]
-    )
-    return hashlib.sha256(raw.encode()).hexdigest()[:16]
-
-
-def tuning_cache_path() -> Optional[pathlib.Path]:
-    """Where the persistent tuning table lives, or ``None`` when disabled.
-
-    ``REPRO_TUNING_CACHE`` overrides: ``off``/``0``/``none`` disables
-    persistence, a ``*.json`` path names the file directly, any other
-    value is treated as a directory holding ``tuning.json``.  Default:
-    ``$XDG_CACHE_HOME/repro/tuning.json`` (``~/.cache`` fallback).
-    """
-    env = os.environ.get("REPRO_TUNING_CACHE", "").strip()
-    if env.lower() in ("off", "0", "none", "disabled"):
-        return None
-    if env:
-        p = pathlib.Path(env)
-        return p if p.suffix == ".json" else p / "tuning.json"
-    base = os.environ.get("XDG_CACHE_HOME", "").strip()
-    root = pathlib.Path(base) if base else pathlib.Path.home() / ".cache"
-    return root / "repro" / "tuning.json"
-
-
-def _table_key() -> str:
-    """Fingerprint + backend set: the validity domain of stored winners."""
-    return machine_fingerprint() + "+" + ",".join(sorted(_REGISTRY))
-
-
-def _key_to_wire(key: Tuple) -> str:
-    def enc(x):
-        if isinstance(x, tuple):
-            return [enc(e) for e in x]
-        return x
-
-    return json.dumps(enc(key))
-
-
-def _key_from_wire(wire: str) -> Tuple:
-    def dec(x):
-        if isinstance(x, list):
-            return tuple(dec(e) for e in x)
-        return x
-
-    return dec(json.loads(wire))
-
-
 class AutoTuneDispatcher(KernelBackend):
     """Micro-benchmarking dispatcher: per-shape winner, cached per process.
 
@@ -236,36 +97,22 @@ class AutoTuneDispatcher(KernelBackend):
     (warmup + best-of-``reps`` timing per candidate), amortized over the
     millions of applies a simulation performs on that same shape — the same
     economics as the paper's one-time selection of f2/f3 unrollings per N.
-
-    ``persist`` controls the on-disk tuning table: ``True``/``False``
-    force it, ``None`` (default) follows ``REPRO_TUNING_CACHE`` (see
-    :func:`tuning_cache_path`).  Winners load lazily on the first tuning
-    miss and only when the stored machine fingerprint + backend set match
-    the running process; every fresh tuning decision is saved back
-    (atomic replace, best-effort — I/O errors never break dispatch).
     """
 
     name = "auto"
 
-    def __init__(self, reps: int = 3, persist: Optional[bool] = None):
+    def __init__(self, reps: int = 3):
         super().__init__()
         self.reps = int(reps)
-        self.persist = persist
         #: shape signature -> winning backend name
         self.choices: Dict[Tuple, str] = {}
         #: shape signature -> dispatch count (excludes tuning calls)
         self.hits: Dict[Tuple, int] = {}
         #: shape signature -> {backend name: best seconds} from tuning
-        #: (absent for winners loaded from the persistent table)
         self.timings: Dict[Tuple, Dict[str, float]] = {}
-        #: persistence counters: entries loaded from disk, tuned live, saves
-        self.persist_stats: Dict[str, int] = {"loaded": 0, "tuned": 0, "saved": 0}
-        self._loaded_for: Optional[str] = None
-        self._warmed: set = set()
         #: serializes tuning so concurrent service threads neither race on
         #: the choice dicts nor skew each other's micro-benchmarks.
         self._tune_lock = threading.Lock()
-        _DISPATCHERS.add(self)
 
     @staticmethod
     def signature(op: np.ndarray, u: np.ndarray, direction: int) -> Tuple:
@@ -315,176 +162,44 @@ class AutoTuneDispatcher(KernelBackend):
 
     # ---------------------------------------------------------------- tuning
     def _resolve(self, key, point, call, scratch_shape) -> KernelBackend:
-        """The winning backend for ``key``, tuning (or loading) on a miss."""
+        """The winning backend for ``key``, tuning on a miss."""
         name = self.choices.get(key)
-        backend = _REGISTRY.get(name) if name is not None else None
-        if backend is None:
-            # Covers both a cold signature and a stale winner whose backend
-            # was unregistered after the choice was cached.
+        if name is None:
             name = self._tune(key, point, call, scratch_shape)
-            backend = _REGISTRY[name]
         self.hits[key] = self.hits.get(key, 0) + 1
-        return backend
+        return _REGISTRY[name]
 
     def _tune(self, key, point, call, scratch_shape) -> str:
+        """Time every registered kernel on this exact call; cache the winner."""
         with self._tune_lock:
             name = self.choices.get(key)
-            if name is not None and name in _REGISTRY:
+            if name is not None:
                 return name  # another thread tuned it while we waited
-            self._maybe_load_locked()
-            name = self.choices.get(key)
-            if name is not None and name in _REGISTRY:
-                return name  # the persistent table already knew this shape
-            return self._tune_locked(key, point, call, scratch_shape)
-
-    def _tune_locked(self, key, point, call, scratch_shape) -> str:
-        """Time every capable backend on this exact call; cache the winner."""
-        scratch = self.workspace.get("tune_" + point, scratch_shape)
-        best_name, best_t = None, np.inf
-        timings: Dict[str, float] = {}
-        for name, backend in list(_REGISTRY.items()):
-            if not backend.supports(point):
-                continue
-            try:
-                if name not in self._warmed:
-                    backend.warmup()  # one-time JIT / device-context cost
-                    self._warmed.add(name)
-                # Untimed per-shape warm-up: remaining compilation and
-                # cache effects land here, outside the measurement.
+            scratch = self.workspace.get("tune_" + point, scratch_shape)
+            best_name, best_t = None, np.inf
+            timings: Dict[str, float] = {}
+            for name, backend in _REGISTRY.items():
+                # Untimed per-shape warm-up: first-touch and cache effects
+                # land here, outside the measurement.
                 call(backend, scratch)
                 t_min = np.inf
                 for _ in range(self.reps):
                     t0 = time.perf_counter()
                     call(backend, scratch)
                     t_min = min(t_min, time.perf_counter() - t0)
-            except Exception:  # pragma: no cover - defensive
-                continue
-            timings[name] = t_min
-            if t_min < best_t:
-                best_name, best_t = name, t_min
-        if best_name is None:  # pragma: no cover - registry never empty
-            raise RuntimeError(
-                f"no registered kernel backend could handle {point} for "
-                f"signature {key}"
-            )
-        self.choices[key] = best_name
-        self.timings[key] = timings
-        self.persist_stats["tuned"] += 1
-        self._save_locked()
-        return best_name
-
-    # ----------------------------------------------------------- persistence
-    def _persist_enabled(self) -> bool:
-        if self.persist is False:
-            return False
-        return tuning_cache_path() is not None
-
-    def _maybe_load_locked(self) -> None:
-        """Merge winners stored for this (fingerprint, backend set) — once."""
-        if not self._persist_enabled():
-            return
-        key = _table_key()
-        if self._loaded_for == key:
-            return
-        self._loaded_for = key
-        path = tuning_cache_path()
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return
-        if not isinstance(doc, dict) or doc.get("version") != 1:
-            return
-        section = doc.get("tables", {}).get(key, {})
-        for wire, name in section.get("entries", {}).items():
-            if name not in _REGISTRY:
-                continue
-            try:
-                sig = _key_from_wire(wire)
-            except (ValueError, TypeError):
-                continue
-            if sig not in self.choices:
-                self.choices[sig] = name
-                self.persist_stats["loaded"] += 1
-
-    def _save_locked(self) -> None:
-        """Write this dispatcher's winners under the current table key.
-
-        Atomic (tmp + replace), best-effort: the section for the current
-        fingerprint + backend set is replaced wholesale (in-memory state is
-        a superset of everything loaded), other sections are preserved.
-        """
-        if not self._persist_enabled():
-            return
-        path = tuning_cache_path()
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                doc = json.loads(path.read_text())
-            except (OSError, ValueError):
-                doc = {}
-            if not isinstance(doc, dict) or doc.get("version") != 1:
-                doc = {"version": 1, "tables": {}}
-            doc.setdefault("tables", {})[_table_key()] = {
-                "fingerprint": machine_fingerprint(),
-                "backends": sorted(_REGISTRY),
-                "entries": {
-                    _key_to_wire(k): v for k, v in self.choices.items()
-                },
-            }
-            # Per-writer temp file: a fixed temp name lets two concurrent
-            # service workers interleave writes into the same path before
-            # either replaces — mkstemp gives each writer its own file, and
-            # os.replace keeps the swap atomic.
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-                os.replace(tmp_name, path)
-            finally:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass  # already replaced (the normal case)
-            self.persist_stats["saved"] += 1
-        except OSError:  # pragma: no cover - disk trouble must not break math
-            pass
-
-    # ---------------------------------------------------------- invalidation
-    def invalidate(self, name: str, registry_changed: bool) -> int:
-        """Drop cached winners made stale by a registry change.
-
-        ``registry_changed`` (a name appeared or disappeared): every
-        decision is stale — the candidate set it was made against no
-        longer exists — and any loaded persistent section is forgotten
-        (its backend-set key changed).  Otherwise (same name re-registered
-        with a new instance): only the shapes that name was winning.
-        Returns the number of dropped decisions.
-        """
-        with self._tune_lock:
-            self._warmed.discard(name)
-            if registry_changed:
-                dropped = len(self.choices)
-                self.choices.clear()
-                self.hits.clear()
-                self.timings.clear()
-                self._loaded_for = None
-                return dropped
-            stale = [k for k, v in self.choices.items() if v == name]
-            for k in stale:
-                del self.choices[k]
-                self.hits.pop(k, None)
-                self.timings.pop(k, None)
-            return len(stale)
+                timings[name] = t_min
+                if t_min < best_t:
+                    best_name, best_t = name, t_min
+            self.choices[key] = best_name
+            self.timings[key] = timings
+            return best_name
 
     def reset(self) -> None:
-        """Forget all tuning decisions and hit counts (memory only)."""
+        """Forget all tuning decisions and hit counts."""
         with self._tune_lock:
             self.choices.clear()
             self.hits.clear()
             self.timings.clear()
-            self._loaded_for = None
 
     def report(self) -> str:
         """Chosen kernel and hit count per tuned shape (observability)."""
@@ -506,19 +221,8 @@ class AutoTuneDispatcher(KernelBackend):
 
 
 # ---------------------------------------------------------------------------
-# Registry population and active-backend state.
+# Active-backend state.
 # ---------------------------------------------------------------------------
-register_backend(MatmulBackend())
-register_backend(EinsumBackend())
-register_backend(FlattenedBackend())
-
-# Optional compiled backends: auto-registered only when the dependency
-# imports cleanly (and, for cupy, a CUDA device is actually visible).
-if HAVE_NUMBA:
-    register_backend(NumbaBackend())
-if HAVE_CUPY:  # pragma: no cover - needs a GPU
-    register_backend(CupyBackend())
-
 _DISPATCHER = AutoTuneDispatcher()
 
 #: the backend all library kernels currently route through.
@@ -550,17 +254,13 @@ def use_backend(name: str) -> Iterator[KernelBackend]:
 
 
 def backend_report() -> str:
-    """Dispatcher observability: capabilities, choices, and hit counts.
+    """Dispatcher observability: active backend, choices, and hit counts.
 
     When a fixed backend is active the report says so; the dispatcher's
     accumulated choices are still included (it keeps its cache).
     """
     lines = [f"active backend: {_ACTIVE.name}"]
-    lines.append("registered backends and kernel-point capabilities:")
-    for name in sorted(_REGISTRY):
-        caps = _REGISTRY[name].capabilities()
-        flags = ", ".join(f"{p}={caps[p]}" for p in KERNEL_POINTS)
-        lines.append(f"  {name:>8}: {flags}")
+    lines.append(f"registered backends: {', '.join(sorted(_REGISTRY))}")
     lines.append(_DISPATCHER.report())
     return "\n".join(lines)
 
@@ -621,20 +321,6 @@ def backend_tallies() -> Dict[str, Dict[str, int]]:
     return out
 
 
-def tuning_stats() -> dict:
-    """Persistent-tuning-table counters for the service/report layers."""
-    path = tuning_cache_path()
-    return {
-        "path": str(path) if path is not None else None,
-        "persist": bool(_DISPATCHER._persist_enabled()),
-        "table_key": _table_key(),
-        "entries": len(_DISPATCHER.choices),
-        "loaded_from_disk": int(_DISPATCHER.persist_stats["loaded"]),
-        "tuned_this_process": int(_DISPATCHER.persist_stats["tuned"]),
-        "saves": int(_DISPATCHER.persist_stats["saved"]),
-    }
-
-
 # honor REPRO_BACKEND at import time (CLI --backend overrides later).
 _env = os.environ.get("REPRO_BACKEND", "").strip()
 if _env:
@@ -643,8 +329,7 @@ if _env:
     except ValueError:
         raise ValueError(
             f"REPRO_BACKEND={_env!r} does not name a registered kernel "
-            f"backend; available: {available_backends()} (optional backends "
-            f"register only when their dependency is installed)"
+            f"backend; available: {available_backends()}"
         ) from None
 
 
@@ -716,7 +401,7 @@ def batched_matvec(
     dense ``(m, n)`` block (Schur complements, coupling blocks), so the
     batch cannot collapse onto a shared-operator ``apply_1d``.  Tuning keys
     on ``(mats shape, vecs shape, -1)`` — the dispatcher arbitrates the same
-    kernel family (matmul / einsum / broadcast-reduce / compiled) per shape.
+    kernel family (matmul / einsum / broadcast-reduce) per shape.
     """
     mats = _sanitize(mats)
     vecs = _sanitize(vecs)

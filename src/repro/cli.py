@@ -17,9 +17,8 @@
 Every subcommand accepts a global ``--backend NAME`` selecting the kernel
 backend all tensor-product applies route through (equivalent to the
 ``REPRO_BACKEND`` environment variable; see docs/BACKENDS.md).  Valid
-names are whatever registered at import — ``auto``/``matmul``/``einsum``/
-``flat`` always, plus ``numba``/``cupy`` when those optional dependencies
-are installed; anything else fails with the available list.
+names are ``auto``/``matmul``/``einsum``/``flat``; anything else fails
+with the available list.
 
 The full benchmark harness (all tables/figures with shape assertions) is
 ``pytest benchmarks/ --benchmark-only``; the CLI offers the fast subset
@@ -235,22 +234,22 @@ def _cmd_spmd(args) -> int:
     """End-to-end distributed CG solve on a selectable SPMD substrate.
 
     Partitions a box mesh over ``--ranks``, runs the same CG rank program
-    on the chosen ``--executor`` (simulated clocks, real processes, or MPI
-    when available), and prints measured vs alpha-beta-modeled time per
-    communication phase.  ``--out`` writes the schema-validated obs report
-    with the merged per-rank ``spmd`` section.
+    on the chosen ``--executor`` (simulated clocks or real processes), and
+    prints measured vs alpha-beta-modeled time per communication phase.
+    ``--out`` writes the schema-validated obs report with the merged
+    per-rank ``spmd`` section.
     """
     import json
 
     from repro import obs
     from repro.core.mesh import box_mesh_2d
-    from repro.parallel.exec import available_executors
+    from repro.parallel.exec import EXECUTORS
     from repro.parallel.machine import ASCI_RED_333, LOCALHOST_MP
     from repro.parallel.spmd_cg import DistributedSEMSolver, cg_rank_program
 
-    if args.executor not in available_executors():
-        print(f"executor {args.executor!r} is not available here "
-              f"(have: {', '.join(available_executors())})")
+    if args.executor not in EXECUTORS:
+        print(f"unknown executor {args.executor!r} "
+              f"(have: {', '.join(EXECUTORS)})")
         return 2
 
     from repro.api import RunSpec, SolverConfig
@@ -496,9 +495,7 @@ def main(argv=None) -> int:
         prog="python -m repro",
         description="Quick reproductions of Tufo & Fischer (SC'99).",
     )
-    # Validate against what actually registered: optional compiled/GPU
-    # backends (numba, cupy) appear here only when their dependency
-    # imported; an unknown name fails with the real list.
+    # An unknown name fails with the registered list.
     from repro.backends import available_backends
 
     parser.add_argument(
@@ -506,7 +503,7 @@ def main(argv=None) -> int:
         default=None,
         choices=available_backends(),
         help="kernel backend for all tensor applies "
-             "(default: auto, or $REPRO_BACKEND); registered backends only",
+             "(default: auto, or $REPRO_BACKEND)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("info", help="package summary")
@@ -530,9 +527,9 @@ def main(argv=None) -> int:
                          "has shapes to report")
     ps = sub.add_parser("spmd", help="distributed CG on a real or simulated "
                                      "SPMD substrate")
-    ps.add_argument("--executor", default="sim", choices=["sim", "mp", "mpi"],
-                    help="substrate: virtual clocks (sim), worker processes "
-                         "(mp), or MPI ranks (mpi, needs mpi4py)")
+    ps.add_argument("--executor", default="sim",
+                    help="substrate: virtual clocks (sim) or worker "
+                         "processes (mp)")
     ps.add_argument("--ranks", type=int, default=4)
     ps.add_argument("--elements", type=int, default=4,
                     help="elements per direction of the box mesh")

@@ -88,9 +88,8 @@ def apply_tensor(
     transfer and the filter).  Pass ``None`` entries to skip a direction
     (identity).
 
-    Routes through the fused ``apply_tensor`` kernel point of the active
-    backend (compiled backends contract all directions in one loop nest;
-    numpy backends run composed per-direction stages) with the exact
+    Routes through the ``apply_tensor`` kernel point of the active backend
+    (the numpy backends run composed per-direction stages) with the exact
     composed-equivalent flop tally made at the dispatch boundary.
 
     With a ``workspace`` the *returned array is workspace-owned*, so

@@ -46,8 +46,8 @@ def _backend_section() -> dict:
 
     ``tallies`` aggregates the choices per winning backend and kernel
     point (how many dispatches each registered backend actually served) —
-    the per-backend view a report reader needs once compiled/GPU backends
-    can win individual shapes.  Additive key; ``choices`` is unchanged.
+    the per-backend view of which kernels won which shapes.  Additive key;
+    ``choices`` is unchanged.
     """
     from ..backends import dispatch as _dispatch
 
@@ -323,19 +323,6 @@ def _validate_service(s: Any, path: str) -> None:
         _check_type(cache[k], int, f"{path}.cache.{k}")
     _check_type(cache["hit_rate"], _NUM, path + ".cache.hit_rate")
     _check_type(cache["bytes"], _NUM, path + ".cache.bytes")
-    if "tuning" in s:  # additive: shared persistent-tuning-table counters
-        tuning = s["tuning"]
-        _check_type(tuning, dict, path + ".tuning")
-        _check_keys(
-            tuning,
-            ["path", "persist", "table_key", "entries", "loaded_from_disk",
-             "tuned_this_process", "saves"],
-            path + ".tuning",
-        )
-        _check_type(tuning["persist"], bool, path + ".tuning.persist")
-        _check_type(tuning["table_key"], str, path + ".tuning.table_key")
-        for k in ("entries", "loaded_from_disk", "tuned_this_process", "saves"):
-            _check_type(tuning[k], int, f"{path}.tuning.{k}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""SPMD execution substrates: one rank program, three ways to run it.
+"""SPMD execution substrates: one rank program, two ways to run it.
 
 The paper's algorithms (gather-scatter, crystal router, distributed CG,
 XXT fan-in/out) are written once as *rank programs* against the abstract
@@ -12,7 +12,6 @@ executor    what runs
             :class:`~repro.parallel.comm.SimComm` (the cost model)
 ``mp``      real ``multiprocessing`` workers with ``shared_memory``
             payload transfer and wall-clock timing
-``mpi``     real MPI ranks via ``mpi4py`` (gated on availability)
 ==========  ==================================================================
 
 :func:`run_spmd` is the uniform driver; it returns an
@@ -37,21 +36,17 @@ from .mp import (
     derive_rank_seed,
     run_mp,
 )
-from .mpi import HAVE_MPI, MpiComm
 from .sim import SimRankComm, SimWorld, SPMDPeerError, run_sim
 
 __all__ = [
     "EXECUTORS",
-    "HAVE_MPI",
     "SPMDRunResult",
     "SPMDPeerError",
     "SPMDTimeoutError",
     "SPMDWorkerError",
     "run_spmd",
-    "available_executors",
     "derive_rank_seed",
     "MpComm",
-    "MpiComm",
     "SimRankComm",
     "SimWorld",
     "run_sim",
@@ -59,13 +54,8 @@ __all__ = [
     "SHM_THRESHOLD",
 ]
 
-#: executor registry; 'mpi' requires mpi4py (HAVE_MPI).
-EXECUTORS = ("sim", "mp", "mpi")
-
-
-def available_executors() -> List[str]:
-    """Executors usable in this environment."""
-    return [e for e in EXECUTORS if e != "mpi" or HAVE_MPI]
+#: executor registry.
+EXECUTORS = ("sim", "mp")
 
 
 @dataclass
@@ -137,7 +127,7 @@ def run_spmd(
 ) -> SPMDRunResult:
     """Run ``program(comm, *rank_args[r])`` on every rank of a substrate.
 
-    ``executor`` selects the substrate (``sim`` | ``mp`` | ``mpi``).  For
+    ``executor`` selects the substrate (``sim`` | ``mp``).  For
     ``sim``, pass either an existing ``simcomm`` (its clocks keep
     accumulating, matching the pre-protocol charging style) or a
     ``machine`` to build a fresh one.  For ``mp``, ``machine`` parameterizes
@@ -177,33 +167,6 @@ def run_spmd(
         )
 
     machine = machine or LOCALHOST_MP
-    if executor == "mpi":
-        if not HAVE_MPI:
-            raise RuntimeError(
-                "executor 'mpi' requires mpi4py, which is not installed; "
-                "use 'sim' or 'mp'"
-            )
-        # Under mpirun every process calls run_spmd; this process runs its
-        # own rank only.  (Single-process 'mpi' with one rank also works.)
-        comm = MpiComm(machine)  # pragma: no cover - needs mpi4py
-        if comm.size != ranks:  # pragma: no cover
-            raise ValueError(f"mpirun launched {comm.size} ranks, requested {ranks}")
-        import time as _time  # pragma: no cover
-
-        t0 = _time.perf_counter()  # pragma: no cover
-        result = program(comm, *rank_args[comm.rank])  # pragma: no cover
-        wall = _time.perf_counter() - t0  # pragma: no cover
-        st = comm.stats()  # pragma: no cover
-        return SPMDRunResult(  # pragma: no cover
-            executor="mpi",
-            ranks=ranks,
-            results=[result],
-            stats=[st],
-            wall_seconds=wall,
-            modeled_seconds=st.compute_seconds + st.modeled_comm_seconds,
-            rank_obs=[None],
-        )
-
     results, stats, rank_obs, wall = run_mp(
         program,
         rank_args,

@@ -10,8 +10,7 @@ program text runs unchanged on every substrate:
 * :class:`repro.parallel.exec.sim.SimRankComm` — virtual alpha-beta clocks
   (the existing :class:`~repro.parallel.comm.SimComm` accountant underneath),
 * :class:`repro.parallel.exec.mp.MpComm` — real ``multiprocessing`` workers
-  with ``shared_memory`` payload transfer,
-* :class:`repro.parallel.exec.mpi.MpiComm` — ``mpi4py``, when installed.
+  with ``shared_memory`` payload transfer.
 
 A rank program is a plain function ``program(comm, *args)`` that only ever
 touches *its own* data and moves the rest explicitly through ``comm``.

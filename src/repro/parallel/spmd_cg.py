@@ -107,6 +107,11 @@ def cg_rank_program(
     result of an allreduce), so control flow stays loosely synchronous
     without any extra coordination.  Returns this rank's solution block
     plus the (globally identical) iteration metadata and residual history.
+
+    A non-finite right-hand side or a non-finite / non-positive ``p·Ap``
+    raises :class:`numpy.linalg.LinAlgError`, as serial ``pcg`` does.  The
+    tested scalars are allreduced, so every rank raises at the same point
+    and no peer is left waiting.
     """
     with comm.trace("spmd_cg"):
         x = np.zeros_like(b)
@@ -114,15 +119,23 @@ def cg_rank_program(
         z = r * ctx.inv_dia
         p_dir = z.copy()
         rz = _dot(comm, ctx, r, z)
-        norm_r = float(np.sqrt(max(_dot(comm, ctx, r, r), 0.0)))
+        rr = _dot(comm, ctx, r, r)
+        if not np.isfinite(rr):
+            raise np.linalg.LinAlgError(
+                "distributed PCG received a non-finite right-hand side"
+            )
+        norm_r = float(np.sqrt(max(rr, 0.0)))
         history = [norm_r]
         it = 0
         converged = norm_r <= tol
         while not converged and it < maxiter:
             ap = _matvec(comm, ctx, p_dir)
             pap = _dot(comm, ctx, p_dir, ap)
-            if pap <= 0:
-                raise np.linalg.LinAlgError("distributed PCG breakdown")
+            if not np.isfinite(pap) or pap <= 0:
+                raise np.linalg.LinAlgError(
+                    f"distributed PCG breakdown: p^T A p = {pap:.3e} "
+                    f"at iteration {it + 1}"
+                )
             alpha = rz / pap
             x += alpha * p_dir
             r -= alpha * ap

@@ -14,6 +14,11 @@ ranking likewise flips with shape — the property Table 3 documents.  A
 pure-Python triple loop is included as the un-tuned baseline (excluded
 from default sweeps; it is ~1000x off, which is its own lesson).
 
+This kernel table is deliberately separate from the backend registry
+(:mod:`repro.backends`): Table 3 times single 2-D ``(n1 x n2) x (n2 x n3)``
+products on the paper's calling shapes, while the registry's kernels are
+batched tensor contractions over all elements of a field.
+
 All timings use the paper's flop convention ``2 n1 n2 n3``.
 """
 

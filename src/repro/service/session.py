@@ -40,7 +40,6 @@ import numpy as np
 
 from .. import obs
 from ..api import RunSpec
-from ..backends import dispatch as _dispatch
 from ..solvers.projection import SolutionProjector
 from .cache import FactorCache
 from .runners import RunContext, get_runner
@@ -267,10 +266,6 @@ class Session:
             # for the service.batcher.* per-layer metrics; the literal goes
             # when a benchmark PR drops those metrics.
             "batching": {"fused_groups": 0, "mean_occupancy": 1.0},
-            # All worker threads share the process-global dispatcher, and
-            # its tuned winners persist on disk (REPRO_TUNING_CACHE), so
-            # sibling sessions and restarted services skip re-tuning.
-            "tuning": _dispatch.tuning_stats(),
         }
 
     def report(self, meta: Optional[dict] = None) -> dict:

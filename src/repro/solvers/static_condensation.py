@@ -243,9 +243,8 @@ class TensorInteriorSolver:
                 f"expected field of shape {(self.K,) + self.shape}, got {f.shape}"
             )
         ws = self._ws
-        # Forward transform S^T along every direction (one fused tensor
-        # apply — compiled backends contract all directions per element
-        # without streaming intermediates), scale, transform back.
+        # Forward transform S^T along every direction (one tensor apply),
+        # scale, transform back.
         hat = _dispatch.apply_tensor((self.st,) * self.ndim, f, workspace=ws)
         scaled = ws.get("tint_scaled", f.shape)
         np.multiply(hat, self.inv_den, out=scaled)

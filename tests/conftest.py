@@ -27,15 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-# Tests must never read or write a developer's persistent tuning table:
-# loaded winners would bypass the fresh-tuning behavior several dispatcher
-# tests assert, and tuning runs under test would pollute the real cache.
-# Set before importing repro (the dispatcher reads the env lazily, but the
-# guarantee is cheapest to state at process scope).  Persistence-specific
-# tests monkeypatch REPRO_TUNING_CACHE to a tmp_path.
-os.environ["REPRO_TUNING_CACHE"] = "off"
-
-from repro import obs  # noqa: E402
+from repro import obs
 
 settings.register_profile("repro", deadline=None, max_examples=10, print_blob=True)
 settings.register_profile("ci", deadline=None, max_examples=25, print_blob=True)

@@ -1,9 +1,14 @@
 """Backend layer tests: parity of every registered kernel against the
-reference, boundary sanitization, aliasing rejection, selection machinery,
-and the auto-tuner's shape-aware choices (the Table 3 architecture)."""
+reference, boundary sanitization, aliasing rejection, exact flop tallies,
+selection machinery, and the auto-tuner's shape-aware choices (the Table 3
+architecture)."""
+
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import backends
 from repro.backends import dispatch
@@ -12,9 +17,16 @@ from repro.core.mesh import box_mesh_2d, box_mesh_3d, map_mesh
 from repro.core.operators import LaplaceOperator, build_poisson_system
 from repro.core.pressure import PressureOperator
 from repro.core.tensor import apply_1d
+from repro.core.tensor import apply_tensor as core_apply_tensor
+from repro.perf.flops import counting
 from repro.solvers.cg import pcg
 
 FIXED = [n for n in backends.available_backends() if n != "auto"]
+
+#: parity bound of the per-kernel-point contract (see docs/BACKENDS.md):
+#: every backend agrees with every other to 1e-13 *relative* on the
+#: small-N SEM shapes.
+PARITY_RTOL = 1e-13
 
 
 def deformed_2d(nelem=3, order=6):
@@ -226,12 +238,26 @@ class TestAutoTuner:
         text = backends.backend_report()
         assert text.startswith("active backend:")
 
+    def test_tuning_writes_nothing_to_disk(self, tmp_path):
+        """Tuned winners live in memory only: a fresh process that tunes a
+        shape leaves its home and cache directories untouched."""
+        code = (
+            "import numpy as np; from repro.backends import dispatch; "
+            "dispatch.apply_1d(np.eye(4), np.ones((3, 4, 4)), 0)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": "src", "HOME": str(tmp_path),
+                 "XDG_CACHE_HOME": str(tmp_path)},
+            cwd=".",
+        )
+        assert out.returncode == 0, out.stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEnvSelection:
     def test_env_var_selects_backend(self):
-        import subprocess
-        import sys
-
         code = (
             "from repro import backends; "
             "print(backends.active_backend().name)"
@@ -244,3 +270,192 @@ class TestEnvSelection:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "flat"
+
+
+def _ref_apply_1d(op, u, direction):
+    axis = u.ndim - 1 - direction
+    return np.moveaxis(np.tensordot(op, u, axes=([1], [axis])), 0, axis)
+
+
+def _ref_apply_tensor(ops, u):
+    cur = u
+    for d, op in enumerate(ops):
+        if op is not None:
+            cur = _ref_apply_1d(op, cur, d)
+    return cur
+
+
+def _assert_parity(got, ref):
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(got - ref)) <= PARITY_RTOL * scale
+
+
+@st.composite
+def _apply_1d_cases(draw):
+    ndim = draw(st.integers(min_value=2, max_value=3))
+    K = draw(st.integers(min_value=1, max_value=5))
+    extents = tuple(draw(st.integers(min_value=2, max_value=8)) for _ in range(ndim))
+    direction = draw(st.integers(min_value=0, max_value=ndim - 1))
+    m = draw(st.integers(min_value=1, max_value=9))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return K, extents, direction, m, seed
+
+
+@st.composite
+def _apply_tensor_cases(draw):
+    ndim = draw(st.integers(min_value=2, max_value=3))
+    K = draw(st.integers(min_value=1, max_value=4))
+    extents = tuple(draw(st.integers(min_value=2, max_value=6)) for _ in range(ndim))
+    # Per direction: None (identity), or a possibly-rectangular operator row
+    # count; at least one real operator.
+    rows = [
+        draw(st.one_of(st.none(), st.integers(min_value=1, max_value=7)))
+        for _ in range(ndim)
+    ]
+    if all(r is None for r in rows):
+        rows[draw(st.integers(0, ndim - 1))] = draw(st.integers(1, 7))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return K, extents, tuple(rows), seed
+
+
+class TestParityMatrix:
+    """Every registered backend vs the dgemm reference, per kernel point."""
+
+    @pytest.mark.parametrize("name", FIXED + ["auto"])
+    @given(case=_apply_1d_cases())
+    def test_apply_1d(self, name, case):
+        K, extents, direction, m, seed = case
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((K,) + extents)
+        n = extents[len(extents) - 1 - direction]
+        op = rng.standard_normal((m, n))
+        with backends.use_backend(name):
+            got = dispatch.apply_1d(op, u, direction)
+        _assert_parity(got, _ref_apply_1d(op, u, direction))
+
+    @pytest.mark.parametrize("name", FIXED + ["auto"])
+    @given(
+        K=st.integers(min_value=1, max_value=40),
+        m=st.integers(min_value=1, max_value=9),
+        n=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_batched_matvec(self, name, K, m, n, seed):
+        rng = np.random.default_rng(seed)
+        mats = rng.standard_normal((K, m, n))
+        vecs = rng.standard_normal((K, n))
+        with backends.use_backend(name):
+            got = dispatch.batched_matvec(mats, vecs)
+        _assert_parity(got, np.einsum("kij,kj->ki", mats, vecs))
+
+    @pytest.mark.parametrize("name", FIXED + ["auto"])
+    @given(case=_apply_tensor_cases())
+    def test_apply_tensor(self, name, case):
+        K, extents, rows, seed = case
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((K,) + extents)
+        ops = tuple(
+            None
+            if r is None
+            else rng.standard_normal((r, extents[len(extents) - 1 - d]))
+            for d, r in enumerate(rows)
+        )
+        with backends.use_backend(name):
+            got = dispatch.apply_tensor(ops, u)
+        _assert_parity(got, _ref_apply_tensor(ops, u))
+
+
+class TestFlopAccounting:
+    """Exact analytic tallies, identical whichever backend runs the call."""
+
+    def test_tallies_backend_independent(self):
+        rng = np.random.default_rng(9)
+        u = rng.standard_normal((6, 5, 4))
+        op_r = rng.standard_normal((7, 4))
+        op_s = rng.standard_normal((3, 5))
+        mats = rng.standard_normal((10, 6, 5))
+        vecs = rng.standard_normal((10, 5))
+        expected = (
+            2.0 * 7 * 4 * (u.size // 4)          # apply_1d, direction 0
+            + 2.0 * 10 * 6 * 5                   # batched_matvec
+            + 2.0 * 7 * 4 * (u.size // 4)        # apply_tensor stage r
+            + 2.0 * 3 * 5 * ((6 * 5 * 7) // 5)   # apply_tensor stage s
+        )
+        totals = {}
+        for name in FIXED + ["auto"]:
+            with backends.use_backend(name), counting() as fc:
+                dispatch.apply_1d(op_r, u, 0)
+                dispatch.batched_matvec(mats, vecs)
+                dispatch.apply_tensor((op_r, op_s), u)
+            totals[name] = (fc.total(), dict(fc.snapshot()))
+        ref_total, ref_cats = totals[FIXED[0]]
+        assert ref_total == expected
+        assert set(ref_cats) == {"mxm"}
+        for name, (total, cats) in totals.items():
+            assert total == ref_total, f"{name}: {total} != {ref_total}"
+            assert cats == ref_cats
+
+
+class TestSelectionValidation:
+    def test_env_var_unknown_backend_fails_with_available_list(self):
+        code = "import repro.backends"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": "src", "REPRO_BACKEND": "no-such-kernel"},
+            cwd=".",
+        )
+        assert out.returncode != 0
+        assert "REPRO_BACKEND" in out.stderr
+        assert "available" in out.stderr and "matmul" in out.stderr
+
+    def test_cli_backend_unknown_fails_with_choices(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "--backend", "no-such-kernel", "info"],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": "src"},
+            cwd=".",
+        )
+        assert out.returncode != 0
+        assert "matmul" in out.stderr  # argparse lists the registered choices
+
+
+class TestApplyTensorDispatch:
+    def test_all_identity_returns_input(self):
+        u = np.random.default_rng(5).standard_normal((3, 4, 4))
+        assert dispatch.apply_tensor((None, None), u) is u
+
+    def test_workspace_owns_result(self):
+        from repro.backends.base import Workspace
+
+        rng = np.random.default_rng(6)
+        ws = Workspace()
+        u = rng.standard_normal((3, 4, 4))
+        ops = (rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
+        r1 = core_apply_tensor(ops, u, workspace=ws)
+        r1_copy = r1.copy()
+        r2 = core_apply_tensor(ops, rng.standard_normal((3, 4, 4)), workspace=ws)
+        assert r2 is r1, "same workspace key must hand back the same buffer"
+        assert not np.array_equal(r1_copy, r2)
+
+    def test_out_and_aliasing_validation(self):
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal((3, 4, 4))
+        ops = (np.eye(4), np.eye(4))
+        with pytest.raises(ValueError, match="alias"):
+            dispatch.apply_tensor(ops, u, out=u)
+        with pytest.raises(ValueError, match="shape"):
+            dispatch.apply_tensor(ops, u, out=np.empty((3, 4, 5)))
+        with pytest.raises(ValueError, match="operators"):
+            dispatch.apply_tensor((np.eye(4),), u)
+
+    def test_dispatcher_tunes_tensor_signature(self):
+        disp = backends.AutoTuneDispatcher()
+        rng = np.random.default_rng(8)
+        u = rng.standard_normal((4, 5, 5))
+        ops = (rng.standard_normal((3, 5)), rng.standard_normal((2, 5)))
+        got = disp.apply_tensor(ops, u)
+        _assert_parity(got, _ref_apply_tensor(ops, u))
+        key = (((3, 5), (2, 5)), (4, 5, 5), dispatch.APPLY_TENSOR_DIR)
+        assert disp.choices[key] in FIXED
+        assert disp.hits[key] == 1

@@ -9,10 +9,9 @@ import pytest
 
 from repro.parallel.comm import SimComm
 from repro.parallel.exec import (
-    HAVE_MPI,
+    EXECUTORS,
     SPMDTimeoutError,
     SPMDWorkerError,
-    available_executors,
     derive_rank_seed,
     run_spmd,
 )
@@ -148,9 +147,9 @@ class TestProtocolHelpers:
 
 class TestRegistry:
     def test_available_executors(self):
-        avail = available_executors()
-        assert "sim" in avail and "mp" in avail
-        assert ("mpi" in avail) == HAVE_MPI
+        assert EXECUTORS == ("sim", "mp")
+        with pytest.raises(ValueError, match="unknown executor"):
+            run_spmd(prog_rank_collect, [()], ranks=1, executor="mpi")
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):

@@ -291,6 +291,15 @@ class TestSession:
             "fused_groups": 1, "mean_occupancy": 1.1, "max_occupancy": 2,
         })
         obs.validate_report({**service_report, "service": old})
+        # Kernel tuning is per process and in memory: no tuning block, but a
+        # document that still carries the old one validates.
+        assert "tuning" not in svc
+        with_tuning = dict(svc, tuning={
+            "path": None, "persist": False, "table_key": "abc+matmul",
+            "entries": 3, "loaded_from_disk": 0, "tuned_this_process": 3,
+            "saves": 0,
+        })
+        obs.validate_report({**service_report, "service": with_tuning})
 
     def test_failed_run_is_contained(self):
         from repro.service import register

@@ -57,6 +57,16 @@ class TestCorrectness:
         # in the reduction order: allow +-1).
         assert max(its) - min(its) <= 1
 
+    def test_non_finite_forcing_raises_on_every_rank(self):
+        # NaN <= 0 is false, so a breakdown check on the sign alone would
+        # iterate to maxiter; the sim executor re-raises the rank's error.
+        mesh = box_mesh_2d(4, 4, 4)
+        f = mesh.eval_function(lambda x, y: x + y)
+        f[5, 2, 2] = np.nan
+        solver = DistributedSEMSolver(mesh, M, 2, h1=1.0, h0=1.0)
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite right-hand side"):
+            solver.solve(f, tol=1e-10, executor="sim")
+
     def test_too_many_ranks_rejected(self):
         mesh = box_mesh_2d(2, 2, 3)
         with pytest.raises(ValueError):
