@@ -6,8 +6,7 @@ arguments, on one fixed workload each:
 * projection window length L (Fig. 4's knob): iterations vs L;
 * Schwarz overlap width for the tensor (FDM) local solves;
 * coarse-grid on/off at fixed fine smoother (the A_0 term);
-* OIFS substep CFL target: stability/cost trade-off;
-* collocated vs dealiased convection: aliasing error at fixed N.
+* OIFS substep CFL target: stability/cost trade-off.
 """
 
 import numpy as np
@@ -122,30 +121,6 @@ def test_oifs_substep_ablation(benchmark, oifs_ablation):
         assert oifs_ablation[0.25][1] <= 2.0 * oifs_ablation[0.5][1]
 
 
-def test_dealiasing_ablation(benchmark):
-    """Collocated vs 3/2-rule convection: Taylor-Green aliasing floor."""
-    L = 2 * np.pi
-    errs = {}
-    for dealias in (False, True):
-        mesh = box_mesh_2d(4, 4, 8, x1=L, y1=L, periodic=(True, True))
-        sol = NavierStokesSolver(mesh, re=100.0, dt=0.05, bc=VelocityBC.none(mesh),
-                                 convection="ext", dealias=dealias)
-        sol.set_initial_condition([
-            lambda x, y: -np.cos(x) * np.sin(y),
-            lambda x, y: np.sin(x) * np.cos(y),
-        ])
-        nu = 1 / sol.re
-        sol.advance(16)
-        ue = -np.cos(mesh.coords[0]) * np.sin(mesh.coords[1]) * np.exp(-2 * nu * sol.t)
-        errs[dealias] = float(np.max(np.abs(sol.u[0] - ue)))
-    benchmark(lambda: None)
-    text = fmt_table(["convection", "TG error (N=8, Re=100)"],
-                     [["collocated", errs[False]], ["dealiased 3/2", errs[True]]],
-                     title="Ablation: collocated vs over-integrated convection")
-    write_result("ablation_dealiasing", text)
-    assert errs[True] < 0.7 * errs[False]
-
-
 def test_batched_vs_looped_operator_ablation(benchmark):
     """The library's central implementation choice: apply tensor kernels
     batched over all K elements (one BLAS-3 call per direction) instead of
@@ -194,38 +169,3 @@ def test_batched_vs_looped_operator_ablation(benchmark):
     write_result("ablation_batched_kernels", text)
     assert t_b < t_l  # batching must win
 
-
-def test_additive_vs_hybrid_schwarz_ablation(benchmark):
-    """Additive (one application, paper's form) vs damped multiplicative
-    hybrid (two extra E applies, fewer iterations — the trade that wins
-    when per-iteration communication dominates, cf. Table 4's allreduce
-    and gather-scatter terms)."""
-    from repro.core.pressure import PressureOperator
-    from repro.perf.flops import counting
-    from repro.solvers.schwarz import (
-        HybridSchwarzPreconditioner,
-        SchwarzPreconditioner,
-    )
-
-    mesh = box_mesh_2d(6, 6, 6)
-    pop = PressureOperator(mesh)
-    xp = pop.interp_to_pressure(np.asarray(mesh.coords[0]))
-    yp = pop.interp_to_pressure(np.asarray(mesh.coords[1]))
-    g = np.sin(2 * np.pi * xp) * np.cos(np.pi * yp)
-    g -= g.sum() / g.size
-    tol = 1e-6 * float(np.linalg.norm(g.ravel()))
-    rows = []
-    results = {}
-    for name, pc in (
-        ("additive", SchwarzPreconditioner(mesh, pop)),
-        ("hybrid", HybridSchwarzPreconditioner(mesh, pop)),
-    ):
-        with counting() as fc:
-            res = pcg(pop.matvec, g, dot=pop.dot, precond=pc, tol=tol, maxiter=600)
-        rows.append([name, res.iterations, fc.total()])
-        results[name] = res
-    benchmark(lambda: None)
-    text = fmt_table(["cycle", "iterations", "flops"], rows,
-                     title="Ablation: additive vs hybrid (multiplicative) Schwarz on E")
-    write_result("ablation_hybrid_schwarz", text)
-    assert results["hybrid"].iterations < results["additive"].iterations

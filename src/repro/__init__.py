@@ -78,7 +78,7 @@ from .solvers.condensed import (
 from .solvers.jacobi import JacobiPreconditioner, jacobi_preconditioner
 from .solvers.pmultigrid import PMultigrid, build_p_hierarchy
 from .solvers.projection import SolutionProjector
-from .solvers.schwarz import HybridSchwarzPreconditioner, SchwarzPreconditioner
+from .solvers.schwarz import SchwarzPreconditioner
 from .solvers.xxt import XXTSolver
 from . import service
 
@@ -97,7 +97,6 @@ __all__ = [
     "FieldFilter",
     "GeomFactors",
     "HelmholtzOperator",
-    "HybridSchwarzPreconditioner",
     "JacobiPreconditioner",
     "LaplaceOperator",
     "MassOperator",

@@ -50,8 +50,7 @@ class SolverConfig:
     per-constructor defaults exactly.
     """
 
-    #: pressure local-solve tier: "fdm" / "fem" Schwarz, "condensed", or
-    #: "jacobi" (NS testing only).
+    #: pressure local-solve tier: "fdm" / "fem" Schwarz or "condensed".
     pressure_variant: str = "fdm"
     #: Schwarz gridpoint overlap N_o (fem study: 0/1/3).
     overlap: int = 1
@@ -75,6 +74,13 @@ class SolverConfig:
     #: p-MG coarsest-level solve: "cg" (Jacobi-PCG) or "condensed"
     #: (interface-only condensed PCG; needs coarsest order >= 2).
     pmg_coarse: str = "cg"
+
+    def __post_init__(self):
+        if self.pressure_variant not in ("fdm", "fem", "condensed"):
+            raise ValueError(
+                f"unknown pressure_variant {self.pressure_variant!r}; "
+                "use 'fdm', 'fem' or 'condensed'"
+            )
 
     def replace(self, **changes) -> "SolverConfig":
         """A copy with ``changes`` applied (frozen-dataclass update)."""
@@ -237,7 +243,7 @@ def navier_stokes_solver(mesh, re: float, dt: float, bc=None,
     """A :class:`~repro.ns.navier_stokes.NavierStokesSolver` from a config.
 
     ``physics`` passes through the non-solver-stack parameters (scheme,
-    convection, filtering, forcing, coriolis, ...) unchanged — those
+    convection, filtering, forcing, ...) unchanged — those
     describe the *problem*, not the solver stack, and stay keywords.
     """
     from .ns.navier_stokes import NavierStokesSolver

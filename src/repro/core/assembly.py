@@ -85,13 +85,17 @@ class Assembler:
         return self.dssum(u) * self._inv_mult
 
     def dsmax(self, u: np.ndarray) -> np.ndarray:
-        """Max-reduce shared nodes (used e.g. for CFL reporting)."""
+        """Max-reduce shared nodes.
+
+        The serial reference that the property tests check the distributed
+        ``gs_op(op="max")`` against.
+        """
         g = np.full(self.n_global, -np.inf)
         np.maximum.at(g, self._flat_ids, u.ravel())
         return self.scatter(g)
 
     def dsmin(self, u: np.ndarray) -> np.ndarray:
-        """Min-reduce shared nodes."""
+        """Min-reduce shared nodes (serial reference for ``gs_op(op="min")``)."""
         g = np.full(self.n_global, np.inf)
         np.minimum.at(g, self._flat_ids, u.ravel())
         return self.scatter(g)

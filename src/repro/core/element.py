@@ -79,20 +79,11 @@ def _weight_tensor(order: int, ndim: int) -> np.ndarray:
     return w[:, None, None] * w[None, :, None] * w[None, None, :]
 
 
-def geometric_factors(mesh: Mesh, axisymmetric: bool = False) -> GeomFactors:
+def geometric_factors(mesh: Mesh) -> GeomFactors:
     """Compute :class:`GeomFactors` for a mesh by isoparametric differentiation.
 
     Raises ``ValueError`` if any nodal Jacobian is non-positive (inverted or
     degenerate element) — the standard validity check for deformed meshes.
-
-    ``axisymmetric=True`` (2-D only, coordinates interpreted as (x, r) with
-    r >= 0) folds the cylindrical measure ``r`` into the mass and stiffness
-    factors, so the standard scalar operators become their axisymmetric
-    counterparts: ``integral f r dr dx`` and ``integral nu grad v . grad u
-    r dr dx`` — the configuration the production code supports alongside
-    2-D/3-D (Section 1).  The swirl-free scalar equations (Poisson,
-    Helmholtz, heat) are exactly covered; the axisymmetric *momentum*
-    system (extra 1/r^2 coupling terms) is not implemented.
     """
     d = gll_derivative_matrix(mesh.order)
     wt = _weight_tensor(mesh.order, mesh.ndim)
@@ -112,19 +103,12 @@ def geometric_factors(mesh: Mesh, axisymmetric: bool = False) -> GeomFactors:
         sx, sy = -yr * inv, xr * inv
         dxi_dx = [[rx, ry], [sx, sy]]
         jw = jac * wt
-        if axisymmetric:
-            radius = np.asarray(y)
-            if np.any(radius < -1e-14):
-                raise ValueError("axisymmetric meshes need r = y >= 0")
-            jw = jw * np.maximum(radius, 0.0)
         g = [
             jw * (rx * rx + ry * ry),
             jw * (rx * sx + ry * sy),
             jw * (sx * sx + sy * sy),
         ]
         return GeomFactors(2, jac, jw, dxi_dx, g, np.broadcast_to(wt, jac.shape))
-    if axisymmetric:
-        raise ValueError("axisymmetric geometry is 2-D (x, r) only")
 
     x, y, z = mesh.coords
     xr, xs, xt = grad_3d(d, x)

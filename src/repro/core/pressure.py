@@ -61,23 +61,14 @@ class PressureOperator:
         vel_mask: Optional[DirichletMask] = None,
         assembler: Optional[Assembler] = None,
         geom: Optional[GeomFactors] = None,
-        axisymmetric: bool = False,
     ):
         if mesh.order < 2:
             raise ValueError("PN-PN-2 needs velocity order N >= 2")
-        if axisymmetric and mesh.ndim != 2:
-            raise ValueError("axisymmetric pressure operator is 2-D (x, r) only")
         self.mesh = mesh
         self.n = mesh.order
         self.m = mesh.order - 1  # GL points per direction on the pressure grid
-        self.axisymmetric = bool(axisymmetric)
         self.assembler = assembler if assembler is not None else Assembler.for_mesh(mesh)
-        # Axisymmetric runs need the r-weighted mass in B^{-1}; build the
-        # matching geometry when the caller did not supply one.
-        self.geom = (
-            geom if geom is not None
-            else geometric_factors(mesh, axisymmetric=axisymmetric)
-        )
+        self.geom = geom if geom is not None else geometric_factors(mesh)
         if vel_mask is None:
             if mesh.boundary:
                 vel_mask = DirichletMask(mesh.boundary_mask())
@@ -112,17 +103,6 @@ class PressureOperator:
         ]
         # Pressure-grid mass (for means / norms): J on GL grid times weights.
         self.bm_p = self.w_gl * apply_tensor(down, self.geom.jac)
-        # Axisymmetric (x, r) continuity: du_x/dx + (1/r) d(r u_r)/dr = 0.
-        # Weak form with the r dV measure: r-weight the cofactor terms and
-        # add the extra  integral q u_r  term (weight = w J, *without* r).
-        self._axi_extra: Optional[np.ndarray] = None
-        if self.axisymmetric:
-            r_gl = apply_tensor(down, np.asarray(mesh.coords[1]))
-            self._axi_extra = self.bm_p.copy()  # w * J on the GL grid
-            for a in range(nd):
-                for c in range(nd):
-                    self.wcof[a][c] = self.wcof[a][c] * r_gl
-            self.bm_p = self.bm_p * r_gl
         # Assembled velocity mass, masked inverse (zero on constrained dofs).
         ba = self.assembler.dssum(self.geom.bm)
         inv = self.vel_mask.apply(1.0 / ba)
@@ -197,10 +177,6 @@ class PressureOperator:
                 interp = apply_tensor(down, deriv, workspace=ws)
                 np.multiply(self.wcof[a][c], interp, out=tmp_p)
                 out += tmp_p
-        if self._axi_extra is not None:
-            interp = apply_tensor(down, np.asarray(u_vec[1]), workspace=ws)
-            np.multiply(self._axi_extra, interp, out=tmp_p)
-            out += tmp_p
         add_flops(2 * nd * nd * out.size, "pointwise")
         return out
 
@@ -231,9 +207,6 @@ class PressureOperator:
                 interp = apply_tensor(up, tmp_p, workspace=ws)
                 apply_1d(self.dt, interp, a, out=lifted)
                 oc += lifted
-        if self._axi_extra is not None:
-            np.multiply(self._axi_extra, p, out=tmp_p)
-            outs[1] += apply_tensor(up, tmp_p, workspace=ws)
         add_flops(nd * nd * p.size, "pointwise")
         return outs
 

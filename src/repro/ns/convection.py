@@ -24,14 +24,14 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..core.assembly import Assembler
-from ..core.basis import gll_derivative_matrix, interpolation_matrix
+from ..core.basis import gll_derivative_matrix
 from ..core.element import GeomFactors
 from ..core.mesh import Mesh
-from ..core.quadrature import gauss_legendre, gll_points
-from ..core.tensor import apply_tensor, grad_2d, grad_3d
+from ..core.quadrature import gll_points
+from ..core.tensor import grad_2d, grad_3d
 from ..perf.flops import add_flops
 
-__all__ = ["Convection", "DealiasedConvection", "courant_number"]
+__all__ = ["Convection", "courant_number"]
 
 
 def courant_number(mesh: Mesh, geom: GeomFactors, u: Sequence[np.ndarray], dt: float) -> float:
@@ -140,72 +140,3 @@ class Convection:
         add_flops(9.0 * sum(f.size for f in v), "pointwise")
         return out
 
-
-class DealiasedConvection(Convection):
-    """Over-integrated ("3/2-rule") convection operator.
-
-    The collocated product ``(w . grad) v`` on the GLL grid aliases the
-    quadratic nonlinearity; the classical remedy (Orszag; standard in the
-    Nek lineage alongside the paper's filter) evaluates the weak convection
-    integrals on a finer Gauss grid of ``M ~ 3(N+1)/2`` points per
-    direction, where the degree-``3N-1``-ish integrand is handled exactly:
-
-        (C(w) v)_i = integral phi_i (w . grad v)
-                   = J^T [ W_M (sum_c w~_c sum_a cof_ac dv/dxi_a~) ]
-
-    with ``~`` the interpolation to the fine grid and ``cof = J dxi/dx``
-    the (polynomial) Jacobian cofactors.  The operator returns the
-    *pointwise-equivalent* field (weak residual divided by the local mass
-    factors), so it drops into the integrator exactly like the collocated
-    version — including inside the OIFS sub-integration.
-    """
-
-    def __init__(
-        self,
-        mesh: Mesh,
-        geom: GeomFactors,
-        assembler: Assembler,
-        fine_order: int = None,
-    ):
-        super().__init__(mesh, geom, assembler)
-        n = mesh.order
-        m_fine = fine_order if fine_order is not None else int(np.ceil(3 * (n + 1) / 2))
-        if m_fine < n + 1:
-            raise ValueError("dealiasing grid must be at least as fine as the GLL grid")
-        self.m_fine = m_fine
-        xg = gll_points(n)
-        xf, wf = gauss_legendre(m_fine)
-        self.jmat = interpolation_matrix(xg, xf)  # (M, N+1)
-        nd = mesh.ndim
-        if nd == 2:
-            w_fine = wf[:, None] * wf[None, :]
-        else:
-            w_fine = wf[:, None, None] * wf[None, :, None] * wf[None, None, :]
-        interp = [self.jmat] * nd
-        # Weighted cofactors on the fine grid: w_fine * (J dxi_a/dx_c)~.
-        self.wcof_fine = [
-            [
-                w_fine * apply_tensor(interp, geom.dxi_dx[a][c] * geom.jac)
-                for c in range(nd)
-            ]
-            for a in range(nd)
-        ]
-        self._interp = interp
-        self._interp_t = [self.jmat.T] * nd
-
-    def advect(self, w: Sequence[np.ndarray], v: np.ndarray) -> np.ndarray:
-        """Dealiased ``(w . grad) v`` (pointwise-equivalent on the GLL grid)."""
-        nd = self.mesh.ndim
-        grad = grad_2d if nd == 2 else grad_3d
-        dref = grad(self.d, v)
-        dref_f = [apply_tensor(self._interp, g) for g in dref]
-        w_f = [apply_tensor(self._interp, np.asarray(wc)) for wc in w]
-        acc = np.zeros_like(w_f[0])
-        for c in range(nd):
-            dv_dx = self.wcof_fine[0][c] * dref_f[0]
-            for a in range(1, nd):
-                dv_dx += self.wcof_fine[a][c] * dref_f[a]
-            acc += w_f[c] * dv_dx
-        add_flops((4 * nd * nd) * acc.size, "pointwise")
-        weak = apply_tensor(self._interp_t, acc)
-        return weak / self.geom.bm

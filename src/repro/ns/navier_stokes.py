@@ -40,7 +40,7 @@ from ..solvers.jacobi import JacobiPreconditioner
 from ..solvers.projection import SolutionProjector
 from ..solvers.schwarz import SchwarzPreconditioner
 from .bcs import VelocityBC
-from .convection import Convection, DealiasedConvection, courant_number
+from .convection import Convection, courant_number
 
 __all__ = ["NavierStokesSolver", "StepStats", "BDF_COEFFS", "EXT_COEFFS"]
 
@@ -95,9 +95,8 @@ class NavierStokesSolver:
         Fischer-Mullen filter strength (0 disables; Table 1 / Fig. 3).
     config:
         :class:`~repro.api.SolverConfig` supplying the solver-stack
-        decisions: ``pressure_variant`` (Schwarz ``"fdm"``/``"fem"``, the
-        zero-overlap ``"condensed"`` static-condensation tier, or
-        ``"jacobi"`` — diagonal preconditioning of E, testing only),
+        decisions: ``pressure_variant`` (Schwarz ``"fdm"``/``"fem"`` or the
+        zero-overlap ``"condensed"`` static-condensation tier),
         ``projection_window`` (L for the successive-RHS pressure
         projection, 0 disables; Fig. 4), ``pressure_tol``, and
         ``helmholtz_tol``.
@@ -126,9 +125,6 @@ class NavierStokesSolver:
         forcing: Optional[Callable] = None,
         oifs_cfl_target: float = 0.25,
         coarse_dirichlet_vertices: Optional[np.ndarray] = None,
-        dealias: bool = False,
-        coriolis: Optional[Sequence[float]] = None,
-        axisymmetric: bool = False,
     ):
         config = config if config is not None else SolverConfig()
         self.config = config
@@ -147,57 +143,28 @@ class NavierStokesSolver:
         self.convection_mode = convection
         self.forcing = forcing
         self.oifs_cfl_target = float(oifs_cfl_target)
-        # Rotating-frame Coriolis term -2 Omega x u (explicitly extrapolated
-        # with the convection history) — the GFFC-class configuration of
-        # Fig. 1.  2-D: pass a scalar f (rotation about z); 3-D: Omega vector.
-        if coriolis is None:
-            self.coriolis = None
-        elif mesh.ndim == 2:
-            self.coriolis = float(np.atleast_1d(coriolis)[0])
-        else:
-            om = np.asarray(coriolis, dtype=float)
-            if om.shape != (3,):
-                raise ValueError("3-D coriolis needs an Omega vector of length 3")
-            self.coriolis = om
-
-        # Axisymmetric (x, r) swirl-free mode: r-weighted measure throughout,
-        # the extra u_r/r^2 viscous coupling, and the cylindrical divergence.
-        # Domains must keep r > 0 (annuli/pipe shells; the axis needs the
-        # L'Hopital treatment we do not implement).
-        self.axisymmetric = bool(axisymmetric)
-        if self.axisymmetric:
-            if mesh.ndim != 2:
-                raise ValueError("axisymmetric mode is 2-D (x, r) only")
-            if float(np.min(np.asarray(mesh.coords[1]))) <= 0.0:
-                raise ValueError("axisymmetric mode needs r > 0 everywhere")
         if cache is not None:
             from ..service.cache import array_signature, mesh_signature
 
             sig = mesh_signature(mesh)
-            self.geom = cache.get(
-                ("geom", sig, self.axisymmetric),
-                lambda: geometric_factors(mesh, axisymmetric=self.axisymmetric),
-            )
+            self.geom = cache.get(("geom", sig), lambda: geometric_factors(mesh))
             self.assembler = cache.get(
                 ("assembler", sig), lambda: Assembler.for_mesh(mesh)
             )
         else:
-            self.geom = geometric_factors(mesh, axisymmetric=self.axisymmetric)
+            self.geom = geometric_factors(mesh)
             self.assembler = Assembler.for_mesh(mesh)
         self.bc = bc if bc is not None else VelocityBC.no_slip_all(mesh)
         self.mask = self.bc.mask
 
         self.mass = MassOperator(self.geom)
         self.laplace = LaplaceOperator(mesh, self.geom)
-        # Over-integration (3/2-rule) is the alternative dealiasing path to
-        # the paper's filter; both can be combined.
-        conv_cls = DealiasedConvection if dealias else Convection
-        self.conv = conv_cls(mesh, self.geom, self.assembler)
+        self.conv = Convection(mesh, self.geom, self.assembler)
 
         def build_pop():
             return PressureOperator(
                 mesh, vel_mask=self.mask, assembler=self.assembler,
-                geom=self.geom, axisymmetric=self.axisymmetric,
+                geom=self.geom,
             )
 
         def build_precond():
@@ -212,30 +179,17 @@ class NavierStokesSolver:
 
         if cache is not None:
             mask_sig = array_signature(self.mask.constrained)
-            self.pop = cache.get(
-                ("pressure_operator", sig, mask_sig, self.axisymmetric),
-                build_pop,
+            self.pop = cache.get(("pressure_operator", sig, mask_sig), build_pop)
+            self.pressure_precond = cache.get(
+                ("schwarz" if pressure_variant != "condensed"
+                 else "condensed_precond",
+                 sig, mask_sig, pressure_variant, 1, True,
+                 array_signature(coarse_dirichlet_vertices)),
+                build_precond,
             )
-            if pressure_variant == "jacobi":
-                self.pressure_precond = JacobiPreconditioner(
-                    self._pressure_diagonal_estimate()
-                )
-            else:
-                self.pressure_precond = cache.get(
-                    ("schwarz" if pressure_variant != "condensed"
-                     else "condensed_precond",
-                     sig, mask_sig, pressure_variant, 1, True,
-                     array_signature(coarse_dirichlet_vertices)),
-                    build_precond,
-                )
         else:
             self.pop = build_pop()
-            if pressure_variant == "jacobi":
-                self.pressure_precond = JacobiPreconditioner(
-                    self._pressure_diagonal_estimate()
-                )
-            else:
-                self.pressure_precond = build_precond()
+            self.pressure_precond = build_precond()
         self.pressure_tol = float(config.pressure_tol)
         self.helmholtz_tol = float(config.helmholtz_tol)
         self.projector = (
@@ -269,32 +223,19 @@ class NavierStokesSolver:
         self.stats: List[StepStats] = []
 
     # ------------------------------------------------------------ setup bits
-    def _pressure_diagonal_estimate(self) -> np.ndarray:
-        """Rough diagonal of E for the (testing-only) Jacobi option."""
-        probe = self.pop.apply_e(np.ones(self.pop.p_shape))
-        base = self.pop.bm_p
-        scale = max(float(np.max(np.abs(probe))), 1e-12)
-        return np.maximum(np.abs(probe), 1e-3 * scale) + 0 * base
-
-    def _helmholtz_for(self, order: int, comp: int = 0) -> HelmholtzOperator:
-        # Components share one operator except the axisymmetric radial
-        # momentum, whose vector Laplacian carries the extra  +nu u_r / r^2.
-        radial = self.axisymmetric and comp == 1
-        key = (order, radial)
-        if key not in self._helmholtz:
+    def _helmholtz_for(self, order: int) -> HelmholtzOperator:
+        """The velocity Helmholtz operator of BDF ``order``, shared by all
+        components (built, with its assembled diagonal, on first use)."""
+        if order not in self._helmholtz:
             beta0, _ = BDF_COEFFS[order]
-            h0 = beta0 / self.dt
-            if radial:
-                r = np.asarray(self.mesh.coords[1])
-                h0 = h0 + (1.0 / self.re) / (r * r)
             op = HelmholtzOperator(
-                self.mesh, h1=1.0 / self.re, h0=h0, geom=self.geom
+                self.mesh, h1=1.0 / self.re, h0=beta0 / self.dt, geom=self.geom
             )
-            self._helmholtz[key] = op
+            self._helmholtz[order] = op
             dia = self.assembler.dssum(op.diagonal())
             dia = self.mask.apply(dia) + self.mask.constrained.astype(float)
-            self._helmholtz_diag[key] = dia
-        return self._helmholtz[key]
+            self._helmholtz_diag[order] = dia
+        return self._helmholtz[order]
 
     # ------------------------------------------------------------- interface
     def set_initial_condition(
@@ -327,48 +268,6 @@ class NavierStokesSolver:
     def cfl(self) -> float:
         """Current convective CFL number."""
         return courant_number(self.mesh, self.geom, self.u, self.dt)
-
-    def change_dt(self, new_dt: float) -> None:
-        """Change the timestep size.
-
-        The constant-step BDF history becomes inconsistent, so the scheme
-        restarts from first order (one step) exactly as at t = 0; the
-        Helmholtz operators (whose ``h0 = beta0/dt``) are rebuilt lazily.
-        Production-style CFL control: monitor :meth:`cfl` and rescale.
-        """
-        if new_dt <= 0:
-            raise ValueError(f"need dt > 0, got {new_dt}")
-        if new_dt == self.dt:
-            return
-        self.dt = float(new_dt)
-        self._helmholtz.clear()
-        self._helmholtz_diag.clear()
-        self._u_hist = []
-        self._t_hist = []
-        self._conv_hist = []
-        self.step_count = 0  # restart the BDF order ramp
-
-    def advance_with_cfl_target(
-        self, n_steps: int, cfl_target: float, dt_max: Optional[float] = None,
-        adjust_every: int = 5, **kw
-    ) -> List[StepStats]:
-        """Advance while rescaling dt toward a target convective CFL.
-
-        Rescales at most every ``adjust_every`` steps and only on >20%
-        deviation (each change costs a first-order restart step).
-        """
-        out = []
-        for i in range(n_steps):
-            if i % adjust_every == 0:
-                c = self.cfl()
-                if c > 0:
-                    dt_new = self.dt * cfl_target / c
-                    if dt_max is not None:
-                        dt_new = min(dt_new, dt_max)
-                    if abs(dt_new - self.dt) > 0.2 * self.dt:
-                        self.change_dt(dt_new)
-            out.append(self.step(**kw))
-        return out
 
     def kinetic_energy(self) -> float:
         """``1/2 integral |u|^2`` over the domain."""
@@ -452,14 +351,6 @@ class NavierStokesSolver:
                         for c in range(nd):
                             rhs_time[c] += gq * self._conv_hist[q - 1][c]
 
-            if self.coriolis is not None:
-                for q, gq in enumerate(EXT_COEFFS[order], start=1):
-                    if q > len(self._u_hist):
-                        continue
-                    cor = self._coriolis_term(self._u_hist[q - 1])
-                    for c in range(nd):
-                        rhs_time[c] += gq * cor[c]
-
             if self.forcing is not None:
                 fvals = self.forcing(*[np.asarray(x) for x in self.mesh.coords], t_new)
                 for c in range(nd):
@@ -476,11 +367,9 @@ class NavierStokesSolver:
             u_bound = self.bc.lift(t_new)
             u_star: List[np.ndarray] = []
             h_iters: List[int] = []
+            helm = self._helmholtz_for(order)
+            precond = JacobiPreconditioner(self._helmholtz_diag[order])
             for c in range(nd):
-                helm = self._helmholtz_for(order, c)
-                precond = JacobiPreconditioner(
-                    self._helmholtz_diag[(order, self.axisymmetric and c == 1)]
-                )
                 rhs_local = self.mass.apply(rhs_time[c]) + grad_p[c] - helm.apply(u_bound[c])
                 b = self.mask.apply(self.assembler.dssum(rhs_local))
                 x0 = self.mask.apply(self.u[c] - u_bound[c])
@@ -569,18 +458,6 @@ class NavierStokesSolver:
     def advance(self, n_steps: int, **kw) -> List[StepStats]:
         """Take ``n_steps`` timesteps."""
         return [self.step(**kw) for _ in range(n_steps)]
-
-    def _coriolis_term(self, u: List[np.ndarray]) -> List[np.ndarray]:
-        """Coriolis acceleration ``-2 Omega x u``."""
-        if self.mesh.ndim == 2:
-            f = self.coriolis
-            return [2.0 * f * u[1], -2.0 * f * u[0]]
-        ox, oy, oz = self.coriolis
-        return [
-            -2.0 * (oy * u[2] - oz * u[1]),
-            -2.0 * (oz * u[0] - ox * u[2]),
-            -2.0 * (ox * u[1] - oy * u[0]),
-        ]
 
     # ------------------------------------------------------------- internals
     def _advecting_field_interpolant(self) -> Callable[[float], List[np.ndarray]]:

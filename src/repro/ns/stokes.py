@@ -114,7 +114,7 @@ class StokesSolver:
             sig = mesh_signature(mesh)
             mask_sig = array_signature(self.mask.constrained)
             self.pop = cache.get(
-                ("pressure_operator", sig, mask_sig, False),
+                ("pressure_operator", sig, mask_sig),
                 lambda: PressureOperator(
                     mesh, vel_mask=self.mask, assembler=self.assembler,
                     geom=self.geom,

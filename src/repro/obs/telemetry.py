@@ -3,7 +3,7 @@
 Where :mod:`repro.obs.trace` answers "where did the time go", this module
 answers "what did the solvers do": per-solve iteration and residual
 histories (the Fig. 8 series), projection basis sizes (Fig. 4), XXT factor
-sizes (Fig. 6), and gather-scatter / crystal-router message traffic (the
+sizes (Fig. 6), and gather-scatter / distributed-CG message traffic (the
 Section 6 communication kernels).
 
 Solver loops feed the process-global sink directly through the
@@ -89,9 +89,9 @@ class ProjectionRecord:
 
 @dataclass
 class CommRecord:
-    """One communication phase (gather-scatter, crystal route, ...)."""
+    """One communication phase (gather-scatter, distributed CG, ...)."""
 
-    kind: str  #: "gs", "crystal", "spmd_cg", ...
+    kind: str  #: "gs", "spmd_cg", ...
     label: str
     messages: int
     words: float  #: float64 words moved (both directions summed)

@@ -1,7 +1,7 @@
 """SPMD execution substrates: one rank program, two ways to run it.
 
-The paper's algorithms (gather-scatter, crystal router, distributed CG,
-XXT fan-in/out) are written once as *rank programs* against the abstract
+The paper's algorithms (gather-scatter, distributed CG, XXT fan-in/out)
+are written once as *rank programs* against the abstract
 :class:`~repro.parallel.protocol.Comm` protocol, and this package supplies
 the interchangeable substrates:
 

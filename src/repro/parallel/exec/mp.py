@@ -2,10 +2,10 @@
 workers with ``shared_memory`` payload transfer.
 
 This is the executable counterpart of the virtual-clock simulator: the
-*same* rank program text (gs_op, distributed CG, crystal routing, XXT
-fan-in/out) runs on P OS processes, ships real bytes, and is timed with
-real clocks — the repro's analogue of running the paper's code on actual
-hardware instead of the alpha-beta model (Section 6, Table 4).
+*same* rank program text (gs_op, distributed CG, XXT fan-in/out) runs on
+P OS processes, ships real bytes, and is timed with real clocks — the
+repro's analogue of running the paper's code on actual hardware instead
+of the alpha-beta model (Section 6, Table 4).
 
 Transport
 ---------

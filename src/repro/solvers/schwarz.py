@@ -67,7 +67,6 @@ __all__ = [
     "PressureLattice",
     "SchwarzPreconditioner",
     "SubdomainClass",
-    "HybridSchwarzPreconditioner",
     "ElementLinePatches",
     "element_lengths",
 ]
@@ -589,69 +588,3 @@ def _tri_stiffness(p: np.ndarray) -> np.ndarray:
         raise ValueError("degenerate or inverted triangle in local FEM grid")
     return (np.outer(b, b) + np.outer(c, c)) / (2.0 * area2)
 
-
-class HybridSchwarzPreconditioner:
-    """Multiplicative (hybrid) two-level Schwarz cycle for ``E``.
-
-    Where :class:`SchwarzPreconditioner` adds the coarse and local
-    corrections (pure additive, one E-free application), the hybrid form
-    composes them multiplicatively with a residual update in between —
-    the direction taken by the production code's descendants
-    (Lottes-Fischer hybrid Schwarz/multigrid):
-
-        z1 = w S r                       (damped local solves as smoother)
-        z2 = z1 + C (r - E z1)           (coarse correction of the residual)
-        z  = z2 + w S (r - E z2)         (post-smoothing, keeps symmetry)
-
-    The smoother must be damped (``w ~ 1 / lambda_max(S E)``) for the
-    cycle to stay positive definite — the additive sum S carries overlap
-    multiplicity, so rho(S E) > 2 undamped; ``w`` is estimated by a short
-    power iteration at setup.  Two extra E applications per call,
-    typically repaid by a lower iteration count.
-    """
-
-    def __init__(
-        self,
-        mesh: Mesh,
-        pop: PressureOperator,
-        variant: str = "fdm",
-        overlap: int = 1,
-        dirichlet_vertices: Optional[np.ndarray] = None,
-        n_power_iter: int = 12,
-        safety: float = 1.1,
-    ):
-        self.pop = pop
-        self.base = SchwarzPreconditioner(
-            mesh, pop, variant=variant, overlap=overlap, use_coarse=True,
-            dirichlet_vertices=dirichlet_vertices,
-        )
-        # Damping: w = 1 / (safety * lambda_max(S E)) by power iteration.
-        rng = np.random.default_rng(0)
-        v = self._project(rng.standard_normal(pop.p_shape))
-        lam = 1.0
-        for _ in range(n_power_iter):
-            w = self._project(self.base.local_solves(self.pop.matvec(v)))
-            nrm = float(np.linalg.norm(w.ravel()))
-            if nrm == 0.0:
-                break
-            lam = nrm / max(float(np.linalg.norm(v.ravel())), 1e-300)
-            v = w / nrm
-        self.omega = 1.0 / (safety * max(lam, 1e-12))
-
-    def _project(self, z: np.ndarray) -> np.ndarray:
-        if self.pop.has_nullspace:
-            return z - float(np.sum(z) / z.size)
-        return z
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        base = self.base
-        with trace("hybrid_schwarz"):
-            with trace(base.variant):
-                z1 = self.omega * base.local_solves(r)
-            r1 = r - self.pop.matvec(self._project(z1))
-            with trace("coarse"):
-                z2 = z1 + (base.coarse.apply(r1) if base.coarse is not None else 0.0)
-            r2 = r - self.pop.matvec(self._project(z2))
-            with trace(base.variant):
-                z = z2 + self.omega * base.local_solves(r2)
-            return self._project(z)

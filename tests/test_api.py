@@ -47,6 +47,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="unknown"):
             SolverConfig.from_dict({"tol": 1e-5, "typo_field": 1})
 
+    @pytest.mark.parametrize("variant", ["jacobi", "fmd"])
+    def test_unknown_pressure_variant_rejected_at_construction(self, variant):
+        # The message names every accepted tier, "condensed" included.
+        with pytest.raises(ValueError, match="'fdm', 'fem' or 'condensed'"):
+            SolverConfig(pressure_variant=variant)
+        with pytest.raises(ValueError, match="unknown pressure_variant"):
+            SolverConfig().replace(pressure_variant=variant)
+
 
 class TestRunSpec:
     def test_dict_roundtrip(self):
@@ -73,6 +81,12 @@ class TestRunSpec:
         with pytest.raises(ValueError, match=r"unknown.*batched.*parms"):
             RunSpec.from_dict({"workload": "table2", "parms": {"level": 1},
                                "batched": False})
+
+    @pytest.mark.parametrize("variant", ["jacobi", "fmd"])
+    def test_from_dict_rejects_unknown_pressure_variant(self, variant):
+        with pytest.raises(ValueError, match=f"unknown pressure_variant '{variant}'"):
+            RunSpec.from_dict({"workload": "table2",
+                               "config": {"pressure_variant": variant}})
 
 
 # ---------------------------------------------------------------------------

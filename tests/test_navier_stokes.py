@@ -347,39 +347,3 @@ class TestKovasznay:
         sol.advance(30)
         assert np.isfinite(sol.kinetic_energy())
 
-
-class TestTimestepControl:
-    def test_change_dt_restarts_cleanly(self):
-        sol, mesh = taylor_green_solver(dt=0.02)
-        sol.advance(4)
-        ke_before = sol.kinetic_energy()
-        sol.change_dt(0.01)
-        assert sol.dt == 0.01
-        sol.advance(4)
-        assert np.isfinite(sol.kinetic_energy())
-        assert sol.kinetic_energy() < ke_before  # still decaying
-        nu = 1.0 / sol.re
-        err = np.max(np.abs(sol.u[0] - tg_exact_u(mesh, sol.t, nu)))
-        assert err < 1e-3
-
-    def test_change_dt_validation_and_noop(self):
-        sol, _ = taylor_green_solver()
-        with pytest.raises(ValueError):
-            sol.change_dt(-0.1)
-        sol.advance(2)
-        hist_len = len(sol._u_hist)
-        sol.change_dt(sol.dt)  # no-op keeps history
-        assert len(sol._u_hist) == hist_len
-
-    def test_cfl_target_controller(self):
-        sol, _ = taylor_green_solver(dt=0.002)  # CFL far below target
-        sol.advance(1)
-        sol.advance_with_cfl_target(6, cfl_target=0.3, adjust_every=2)
-        assert 0.1 < sol.cfl() < 0.6
-        assert sol.dt > 0.002  # controller grew the step
-
-    def test_cfl_target_respects_dt_max(self):
-        sol, _ = taylor_green_solver(dt=0.002)
-        sol.advance(1)
-        sol.advance_with_cfl_target(4, cfl_target=5.0, dt_max=0.01, adjust_every=1)
-        assert sol.dt <= 0.01 + 1e-15

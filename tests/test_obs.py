@@ -178,7 +178,7 @@ def test_solve_records_carry_open_region_path():
 def test_comm_totals_aggregate_words_and_bytes():
     obs.enable()
     obs.record_comm("gs", "+", 4, 100.0, ranks=4)
-    obs.record_comm("crystal", "p8", 24, 50.0)
+    obs.record_comm("spmd_cg", "p8", 24, 50.0)
     totals = obs.telemetry.comm_totals()
     assert totals == {"messages": 28, "words": 150.0, "bytes": 1200.0}
     rec = obs.telemetry.comms[0]

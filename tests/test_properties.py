@@ -11,10 +11,10 @@ import scipy.sparse as sp
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from repro.core.assembly import Assembler
+from repro.core.assembly import Assembler, DirichletMask
 from repro.core.element import geometric_factors
 from repro.core.filters import FieldFilter
-from repro.core.mesh import box_mesh_2d, map_mesh
+from repro.core.mesh import box_mesh_2d, box_mesh_3d, map_mesh
 from repro.core.operators import LaplaceOperator, MassOperator, build_poisson_system
 from repro.core.pressure import PressureOperator
 from repro.ns.diagnostics import FlowDiagnostics
@@ -151,6 +151,61 @@ def test_pressure_operator_adjoint_random_mesh(order, seed):
     w = pop.apply_div_t(p)
     rhs = sum(float(np.sum(u[c] * w[c])) for c in range(2))
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+@given(
+    kind=st.sampled_from(["rect2d", "deformed2d", "periodic2d", "box3d"]),
+    open_boundary=st.booleans(),
+    nex=st.integers(1, 3),
+    ney=st.integers(1, 2),
+    order=st.integers(3, 5),
+    seed=st.integers(0, 10**6),
+)
+def test_consistent_poisson_symmetric_with_exactly_constant_nullspace(
+    kind, open_boundary, nex, ney, order, seed
+):
+    """E = D B^-1 D^T is symmetric on every mesh kind, and its null space is
+    exactly the constants when the flow is enclosed or periodic (rank
+    deficiency 1) and trivial once one side is an open boundary (0)."""
+    if kind == "box3d":
+        mesh = box_mesh_3d(nex, ney, 1, min(order, 4))
+    elif kind == "periodic2d":
+        # Fully periodic when enclosed; periodic in x with one y side open
+        # otherwise.
+        mesh = box_mesh_2d(max(nex, 2), 2, order, periodic=(True, not open_boundary))
+    else:
+        mesh = box_mesh_2d(nex, ney, order)
+        if kind == "deformed2d":
+            # A random global bilinear map keeps the elements straight-sided
+            # but skewed (nonzero off-diagonal cofactors).  Curved elements
+            # would not do: GL quadrature then under-integrates D^T 1, so
+            # the constant is only approximately in the null space of E.
+            a, b, c, d = np.random.default_rng(seed).uniform(-0.25, 0.25, 4)
+            mesh = map_mesh(
+                mesh, lambda x, y: (x + a * x * y + c * y, y + b * x * y + d * x)
+            )
+    sides = sorted(mesh.boundary)
+    if open_boundary:
+        sides = sides[:-1]  # leave one side open
+    vel_mask = (
+        DirichletMask(mesh.boundary_mask(sides)) if sides
+        else DirichletMask.none(mesh.local_shape)
+    )
+    pop = PressureOperator(mesh, vel_mask=vel_mask)
+    n = int(np.prod(pop.p_shape))
+    e = np.column_stack([
+        pop.apply_e(np.eye(n)[j].reshape(pop.p_shape)).ravel() for j in range(n)
+    ])
+    scale = float(np.max(np.abs(e)))
+    assert np.max(np.abs(e - e.T)) <= 1e-11 * scale
+    lam = np.linalg.eigvalsh(0.5 * (e + e.T))
+    assert lam.min() >= -1e-10 * scale
+    enclosed = not open_boundary
+    deficiency = int(np.sum(lam < 1e-9 * lam.max()))
+    assert deficiency == (1 if enclosed else 0)
+    assert pop.has_nullspace == enclosed
+    if enclosed:
+        assert np.max(np.abs(e @ np.ones(n))) <= 1e-10 * scale
 
 
 @given(

@@ -190,43 +190,6 @@ class TestPreconditioning:
         assert solve_iters(m, pop, pc) < 150
 
 
-class TestHybridSchwarz:
-    def test_spd_and_converges(self):
-        from repro.solvers.schwarz import HybridSchwarzPreconditioner
-
-        m, pop = make_problem(4, 4, 5)
-        pc = HybridSchwarzPreconditioner(m, pop)
-        spd_check(pc, pop, seed=9)
-        assert solve_iters(m, pop, pc) < 100
-
-    def test_fewer_iterations_than_additive(self):
-        from repro.solvers.schwarz import HybridSchwarzPreconditioner
-
-        m, pop = make_problem(6, 6, 6)
-        it_add = solve_iters(m, pop, SchwarzPreconditioner(m, pop))
-        it_hyb = solve_iters(m, pop, HybridSchwarzPreconditioner(m, pop))
-        # The multiplicative cycle trades two extra E applies for a lower
-        # count — valuable when per-iteration communication dominates.
-        assert it_hyb < it_add
-
-    def test_damping_is_sane(self):
-        from repro.solvers.schwarz import HybridSchwarzPreconditioner
-
-        m, pop = make_problem(4, 4, 5)
-        pc = HybridSchwarzPreconditioner(m, pop)
-        assert 0.0 < pc.omega < 1.0
-
-    def test_open_boundary_variant(self):
-        from repro.core.assembly import DirichletMask
-        from repro.solvers.schwarz import HybridSchwarzPreconditioner
-
-        m = box_mesh_2d(4, 4, 5)
-        vel_mask = DirichletMask(m.boundary_mask(["xmin", "ymin", "ymax"]))
-        pop = PressureOperator(m, vel_mask=vel_mask)
-        pc = HybridSchwarzPreconditioner(m, pop)
-        assert solve_iters(m, pop, pc) < 200
-
-
 # ---------------------------------------------------------------------------
 # Batched apply against a per-subdomain dense reference
 # ---------------------------------------------------------------------------
