@@ -12,6 +12,12 @@ We follow the Nek convention of keeping every field in redundant *local*
 agree; ``dssum`` takes an arbitrary local field to the continuous field
 whose unique-node values are the sums of the local contributions — exactly
 what residual assembly requires.
+
+Like the paper's single ``gs_op``, one call serves several fields: a stack
+``(m, K, n...)`` of ``m`` fields is gathered with the ids of field ``c``
+offset by ``c * n_global``, so one ``bincount`` and one ``take`` cover all
+of them.  ``bincount`` sums each bin in input order, so the result is
+bitwise equal to ``m`` separate calls.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ class Assembler:
         #: multiplicity of each *local* node (how many elements share it)
         self.multiplicity = counts[self.global_ids].astype(float)
         self._inv_mult = 1.0 / self.multiplicity
+        #: flat ids per stack size m, field c offset by c * n_global
+        self._stack_ids = {1: self._flat_ids}
 
     @classmethod
     def for_mesh(cls, mesh: Mesh) -> "Assembler":
@@ -56,31 +64,48 @@ class Assembler:
         return cls(mesh.vertex_ids)
 
     # -- local <-> global transfer ------------------------------------------------
+    def _ids(self, m: int) -> np.ndarray:
+        """Flat ids of a stack of ``m`` fields (built once per ``m``)."""
+        if m not in self._stack_ids:
+            offsets = self.n_global * np.arange(m)[:, None]
+            self._stack_ids[m] = (offsets + self._flat_ids).ravel()
+        return self._stack_ids[m]
+
     def gather(self, u: np.ndarray) -> np.ndarray:
-        """Q^T u: sum local values into a global vector of length n_global."""
+        """Q^T u: sum local values into a global vector of length n_global
+        (``m * n_global`` for a stack of ``m`` fields, field by field)."""
         add_flops(u.size, "comm")
-        return np.bincount(self._flat_ids, weights=u.ravel(), minlength=self.n_global)
+        m = u.size // self._flat_ids.size
+        # A size that is not a whole number of fields fails the length check.
+        return np.bincount(self._ids(m), weights=u.ravel(), minlength=m * self.n_global)
 
     def scatter(self, g: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Q g: copy global values out to the redundant local layout."""
+        m = g.size // self.n_global
+        ids = self._ids(m)
         if out is None:
-            return g[self._flat_ids].reshape(self.global_ids.shape)
-        np.take(g, self._flat_ids, out=out.reshape(-1))
+            shape = self.global_ids.shape
+            return g[ids].reshape(shape if m == 1 else (m,) + shape)
+        np.take(g, ids, out=out.reshape(-1))
         return out
 
     # -- local-to-local operations (the gs_op analogues) --------------------------
     def dssum(self, u: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Direct-stiffness summation QQ^T u (shared nodes summed).
 
-        ``out`` (same shape as ``u``, not aliasing it) makes the scatter
-        half allocation-free; the gather half retains one global-length
-        ``bincount`` buffer (summing via ``np.add.at`` into a pooled buffer
-        is an order of magnitude slower than ``bincount``).
+        ``u`` is one field or a stack ``(m, K, n...)``; the result has its
+        shape.  ``out`` (same shape as ``u``, not aliasing it) makes the
+        scatter half allocation-free; the gather half retains one
+        global-length ``bincount`` buffer (summing via ``np.add.at`` into a
+        pooled buffer is an order of magnitude slower than ``bincount``).
         """
-        return self.scatter(self.gather(u), out=out)
+        g = self.gather(u)
+        if out is None:
+            return self.scatter(g).reshape(u.shape)
+        return self.scatter(g, out=out)
 
     def dsavg(self, u: np.ndarray) -> np.ndarray:
-        """Average shared nodes: makes any local field continuous."""
+        """Average shared nodes: makes any local field (or stack) continuous."""
         add_flops(u.size, "comm")
         return self.dssum(u) * self._inv_mult
 

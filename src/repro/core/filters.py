@@ -24,13 +24,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..backends.base import Workspace
+from ..backends import dispatch as _dispatch
 from ..perf.flops import add_flops
 from .assembly import Assembler
 from .basis import interpolation_matrix
 from .mesh import Mesh
 from .quadrature import gauss_lobatto_legendre, legendre
-from .tensor import apply_tensor
 
 __all__ = [
     "legendre_vandermonde",
@@ -133,18 +132,16 @@ class FieldFilter:
                 w = ((n_modes - j) / n_modes) ** 2
                 sigma[n - j] = 1.0 - self.alpha * w
             self.f1d = modal_filter_1d(n, sigma)
-        self._ws = Workspace()
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        """Filter one batched scalar field."""
+        """Filter one batched field ``(K, n...)`` or a stack ``(m, K, n...)``
+        of them (e.g. all velocity components, averaged in one call)."""
         if self.alpha == 0.0:
             return u
-        # Workspace ping-pong: the once-per-step filter allocates nothing in
-        # the tensor stage; dsavg produces the fresh continuous output.
-        out = apply_tensor([self.f1d] * self.mesh.ndim, u, workspace=self._ws)
+        ops = [self.f1d] * self.mesh.ndim
+        out = np.empty(u.shape)
+        shape = (-1,) + self.mesh.local_shape
+        for f, o in zip(u.reshape(shape), out.reshape(shape)):
+            _dispatch.apply_tensor(ops, f, out=o)
         add_flops(out.size, "pointwise")
         return self.assembler.dsavg(out)
-
-    def filter_fields(self, *fields: np.ndarray) -> list:
-        """Filter several fields (e.g. all velocity components)."""
-        return [self(f) for f in fields]

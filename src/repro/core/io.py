@@ -60,9 +60,10 @@ def save_vtk(
     """Write the mesh and batched nodal fields as a legacy-VTK file.
 
     ``point_fields`` maps names to batched scalar fields ``(K, ...)`` or to
-    sequences of ``ndim`` components (written as vectors).  Nodes are
-    written redundantly per element (VTK handles coincident points), so no
-    global renumbering is required.
+    vectors (written as such): a velocity stack ``(ndim, K, ...)`` or a
+    sequence of ``ndim`` components.  Nodes are written redundantly per
+    element (VTK handles coincident points), so no global renumbering is
+    required.
     """
     path = pathlib.Path(path)
     point_fields = point_fields or {}
@@ -99,7 +100,7 @@ def save_vtk(
     if point_fields:
         lines.append(f"POINT_DATA {K * npts_el}")
         for name, field in point_fields.items():
-            if isinstance(field, (list, tuple)):
+            if isinstance(field, (list, tuple)) or np.ndim(field) == mesh.ndim + 2:
                 comps = [np.asarray(c).reshape(-1) for c in field]
                 if len(comps) != mesh.ndim:
                     raise ValueError(
@@ -127,23 +128,16 @@ def save_vtk(
 def save_checkpoint(path, solver) -> pathlib.Path:
     """Dump a NavierStokesSolver's evolving state (npz, lossless)."""
     path = pathlib.Path(path)
-    data = {
-        "t": solver.t,
-        "step_count": solver.step_count,
-        "p": solver.p,
-        "n_hist": len(solver._u_hist),
-        "t_hist": np.asarray(solver._t_hist),
-    }
-    for c, comp in enumerate(solver.u):
-        data[f"u{c}"] = comp
-    for q, hist in enumerate(solver._u_hist):
-        for c, comp in enumerate(hist):
-            data[f"hist{q}_u{c}"] = comp
-    for q, conv in enumerate(solver._conv_hist):
-        for c, comp in enumerate(conv):
-            data[f"conv{q}_u{c}"] = comp
-    data["n_conv_hist"] = len(solver._conv_hist)
-    np.savez_compressed(path, **data)
+    np.savez_compressed(
+        path,
+        t=solver.t,
+        step_count=solver.step_count,
+        p=solver.p,
+        u=solver.u,
+        t_hist=np.asarray(solver._t_hist),
+        u_hist=np.asarray(solver._u_hist),
+        conv_hist=np.asarray(solver._conv_hist),
+    )
     return path
 
 
@@ -151,19 +145,12 @@ def load_checkpoint(path, solver) -> None:
     """Restore state written by :func:`save_checkpoint` into a solver
     built with the same mesh/configuration."""
     with np.load(path) as data:
-        nd = solver.mesh.ndim
         solver.t = float(data["t"])
         solver.step_count = int(data["step_count"])
-        solver.p = data["p"].copy()
-        solver.u = [data[f"u{c}"].copy() for c in range(nd)]
-        n_hist = int(data["n_hist"])
+        solver.p = data["p"]
+        solver.u = data["u"]
         solver._t_hist = [float(v) for v in data["t_hist"]]
-        solver._u_hist = [
-            [data[f"hist{q}_u{c}"].copy() for c in range(nd)] for q in range(n_hist)
-        ]
-        n_conv = int(data["n_conv_hist"])
-        solver._conv_hist = [
-            [data[f"conv{q}_u{c}"].copy() for c in range(nd)] for q in range(n_conv)
-        ]
+        solver._u_hist = list(data["u_hist"])
+        solver._conv_hist = list(data["conv_hist"])
     if solver.projector is not None:
         solver.projector.reset()  # projection space is a pure accelerator

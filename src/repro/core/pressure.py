@@ -150,10 +150,8 @@ class PressureOperator:
         return float(np.sqrt(max(self.dot(p, p), 0.0)))
 
     # ----------------------------------------------------------- D and D^T
-    def apply_div(
-        self, u_vec: List[np.ndarray], out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Weak divergence ``D u``: velocity components -> pressure grid.
+    def apply_div(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Weak divergence ``D u``: velocity ``(nd, K, n...)`` -> pressure grid.
 
         ``(D u)_lm = sum_c integral_ref q_lm sum_a cof[a][c] d(u_c)/d(xi_a)``
         with the integral evaluated by GL quadrature on the pressure grid.
@@ -161,8 +159,8 @@ class PressureOperator:
         comes from the operator's workspace (``out`` is overwritten).
         """
         nd = self.mesh.ndim
-        if len(u_vec) != nd:
-            raise ValueError(f"need {nd} velocity components, got {len(u_vec)}")
+        if len(u) != nd:
+            raise ValueError(f"need {nd} velocity components, got {len(u)}")
         down = [self.j_down] * nd
         ws = self._ws
         out = np.zeros(self.p_shape) if out is None else out
@@ -171,7 +169,7 @@ class PressureOperator:
         vshape = self.mesh.local_shape
         deriv = ws.get("div_deriv", vshape)
         for c in range(nd):
-            uc = np.asarray(u_vec[c])
+            uc = np.asarray(u[c])
             for a in range(nd):
                 apply_1d(self.d, uc, a, out=deriv)
                 interp = apply_tensor(down, deriv, workspace=ws)
@@ -180,67 +178,51 @@ class PressureOperator:
         add_flops(2 * nd * nd * out.size, "pointwise")
         return out
 
-    def apply_div_t(
-        self, p: np.ndarray, outs: Optional[List[np.ndarray]] = None
-    ) -> List[np.ndarray]:
-        """Weak gradient ``D^T p``: pressure grid -> velocity components.
+    def apply_div_t(self, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Weak gradient ``D^T p``: pressure grid -> velocity ``(nd, K, n...)``.
 
         Exact transpose of :func:`apply_div` w.r.t. the plain local inner
         products on both grids (verified by the adjoint unit tests).  The
-        result is a *local* (unassembled) velocity-space vector.  ``outs``
-        (one buffer per component, overwritten) makes the call
-        allocation-free.
+        result is a *local* (unassembled) velocity-space vector.  ``out``
+        (a velocity stack, overwritten) makes the call allocation-free.
         """
         nd = self.mesh.ndim
         up = [self.j_up] * nd  # transpose of the down-interpolation
         ws = self._ws
-        vshape = self.mesh.local_shape
         tmp_p = ws.get("divt_tmp_p", self.p_shape)
-        lifted = ws.get("divt_lift", vshape)
-        if outs is None:
-            outs = [np.zeros(vshape) for _ in range(nd)]
+        lifted = ws.get("divt_lift", self.mesh.local_shape)
+        if out is None:
+            out = np.empty((nd,) + self.mesh.local_shape)
+        out.fill(0.0)
         for c in range(nd):
-            oc = outs[c]
-            oc.fill(0.0)
             for a in range(nd):
                 np.multiply(self.wcof[a][c], p, out=tmp_p)
                 interp = apply_tensor(up, tmp_p, workspace=ws)
                 apply_1d(self.dt, interp, a, out=lifted)
-                oc += lifted
+                out[c] += lifted
         add_flops(nd * nd * p.size, "pointwise")
-        return outs
+        return out
 
     # ----------------------------------------------------------------- E
-    def apply_binv(self, w_vec: List[np.ndarray]) -> List[np.ndarray]:
-        """Masked assembled inverse mass: local -> continuous velocity fields."""
-        return [self.assembler.dssum(w) * self._inv_mass for w in w_vec]
+    def apply_binv(self, w: np.ndarray) -> np.ndarray:
+        """Masked assembled inverse mass: local -> continuous velocity stack."""
+        return self.assembler.dssum(w) * self._inv_mass
 
     def apply_e(self, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Consistent Poisson operator ``E p = D B^{-1} D^T p``.
 
         The E-solve hot path: all intermediates live in the operator
         workspace, so per-iteration applies allocate nothing once the pool
-        is warm (pass ``out`` to avoid the final allocation too).
+        is warm (pass ``out`` to avoid the final allocation too).  The
+        ``nd`` components share one gather-scatter.
         """
         ws = self._ws
-        nd = self.mesh.ndim
-        vshape = self.mesh.local_shape
-        w = [ws.get(f"e_w{c}", vshape) for c in range(nd)]
-        self.apply_div_t(p, outs=w)
-        for c in range(nd):
-            v = ws.get(f"e_v{c}", vshape)
-            self.assembler.dssum(w[c], out=v)
-            np.multiply(v, self._inv_mass, out=w[c])
-        add_flops(2 * sum(x.size for x in w), "pointwise")
+        vshape = (self.mesh.ndim,) + self.mesh.local_shape
+        w = self.apply_div_t(p, out=ws.get("e_w", vshape))
+        v = self.assembler.dssum(w, out=ws.get("e_v", vshape))
+        np.multiply(v, self._inv_mass, out=w)
+        add_flops(2 * w.size, "pointwise")
         return self.apply_div(w, out=out)
-
-    def make_rhs_from_velocity(self, u_vec: List[np.ndarray]) -> np.ndarray:
-        """Pressure RHS ``-D u`` (divergence residual), mean-removed if singular."""
-        g = -self.apply_div(u_vec)
-        if self.has_nullspace:
-            # Compatibility: remove the component along the nullspace.
-            g = g - float(np.sum(g) / g.size)
-        return g
 
     def matvec(self, p: np.ndarray) -> np.ndarray:
         """Solver-facing matvec; pins the nullspace by mean-projection."""

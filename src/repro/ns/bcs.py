@@ -13,7 +13,7 @@ or time-dependent ``f(x, y[, z], t)`` — the arity is detected once.
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,19 +36,15 @@ class _SideData:
             callable(c) and _wants_time(c, mesh.ndim) for c in comps
         )
 
-    def evaluate(self, t: float) -> List[np.ndarray]:
-        out = []
-        for c in self.comps:
+    def evaluate(self, t: float) -> np.ndarray:
+        """The data of every component, one ``(n_comps, K, n...)`` stack."""
+        out = np.empty((len(self.comps),) + self.mesh.local_shape)
+        for i, c in enumerate(self.comps):
             if callable(c):
                 args = [np.asarray(x) for x in self.mesh.coords]
-                if _wants_time(c, self.mesh.ndim):
-                    vals = c(*args, t)
-                else:
-                    vals = c(*args)
-                out.append(np.broadcast_to(np.asarray(vals, dtype=float),
-                                           self.mesh.local_shape))
+                out[i] = c(*args, t) if _wants_time(c, self.mesh.ndim) else c(*args)
             else:
-                out.append(np.full(self.mesh.local_shape, float(c)))
+                out[i] = float(c)
         return out
 
 
@@ -96,7 +92,7 @@ class VelocityBC:
         self.mask = DirichletMask(constrained)
         self.time_dependent = any(sd._time_dependent for sd in self._sides.values())
         self._cache_t: Optional[float] = None
-        self._cache: Optional[List[np.ndarray]] = None
+        self._cache: Optional[np.ndarray] = None
 
     @classmethod
     def no_slip_all(cls, mesh: Mesh) -> "VelocityBC":
@@ -109,26 +105,21 @@ class VelocityBC:
         """Fully periodic / unconstrained problems."""
         return cls(mesh, {})
 
-    def lift(self, t: float = 0.0) -> List[np.ndarray]:
-        """Velocity fields holding the Dirichlet data on constrained nodes
-        (zero elsewhere) — the boundary lift ``u_b`` of the solves."""
-        if self._cache is not None and (not self.time_dependent or self._cache_t == t):
-            return [u.copy() for u in self._cache]
-        fields = [np.zeros(self.mesh.local_shape) for _ in range(self.mesh.ndim)]
-        for sd in self._sides.values():
-            vals = sd.evaluate(t)
-            for c in range(self.mesh.ndim):
-                fields[c] = np.where(sd.mask, vals[c], fields[c])
-        self._cache = [u.copy() for u in fields]
-        self._cache_t = t
-        return fields
+    def lift(self, t: float = 0.0) -> np.ndarray:
+        """Velocity ``(nd, K, n...)`` holding the Dirichlet data on
+        constrained nodes (zero elsewhere) — the boundary lift ``u_b`` of
+        the solves.  Each call returns a fresh array."""
+        if self._cache is None or (self.time_dependent and self._cache_t != t):
+            fields = np.zeros((self.mesh.ndim,) + self.mesh.local_shape)
+            for sd in self._sides.values():
+                fields = np.where(sd.mask, sd.evaluate(t), fields)
+            self._cache, self._cache_t = fields, t
+        return self._cache.copy()
 
-    def apply_to(self, u: List[np.ndarray], t: float = 0.0) -> List[np.ndarray]:
-        """Overwrite constrained nodes of ``u`` with the Dirichlet data."""
-        lifts = self.lift(t)
-        return [
-            np.where(self.mask.constrained, lb, uc) for uc, lb in zip(u, lifts)
-        ]
+    def apply_to(self, u: np.ndarray, t: float = 0.0) -> np.ndarray:
+        """Overwrite constrained nodes of the velocity ``u`` with the
+        Dirichlet data."""
+        return np.where(self.mask.constrained, self.lift(t), u)
 
 
 class ScalarBC:

@@ -19,7 +19,7 @@ substeps.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from ..perf.flops import add_flops
 __all__ = ["Convection", "courant_number"]
 
 
-def courant_number(mesh: Mesh, geom: GeomFactors, u: Sequence[np.ndarray], dt: float) -> float:
+def courant_number(mesh: Mesh, geom: GeomFactors, u: np.ndarray, dt: float) -> float:
     """Convective CFL ``dt * max |u_xi| / dxi`` on the GLL grid.
 
     Computed in reference coordinates (velocity contracted with the metric,
@@ -73,37 +73,41 @@ class Convection:
         add_flops((2 * nd - 1) * nd * v.size, "pointwise")
         return out
 
-    def advect(self, w: Sequence[np.ndarray], v: np.ndarray) -> np.ndarray:
-        """``(w . grad) v`` pointwise on the GLL grid (collocated form)."""
-        g = self.grad_phys(v)
-        out = w[0] * g[0]
-        for c in range(1, self.mesh.ndim):
-            out += w[c] * g[c]
-        add_flops((2 * self.mesh.ndim - 1) * v.size, "pointwise")
-        return out
+    def advect(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``(w . grad) v`` pointwise on the GLL grid (collocated form), for
+        one field ``v`` or each field of a stack ``(m, K, n...)``.
 
-    def advect_fields(
-        self, w: Sequence[np.ndarray], vs: Sequence[np.ndarray]
-    ) -> List[np.ndarray]:
-        """``(w . grad) v`` for several fields (all velocity components)."""
-        return [self.advect(w, v) for v in vs]
+        A stack runs one field at a time, which keeps each pass's working
+        set at one field's size.
+        """
+        nd = self.mesh.ndim
+        out = np.empty(v.shape)
+        shape = (-1,) + self.mesh.local_shape
+        for f, o in zip(v.reshape(shape), out.reshape(shape)):
+            g = self.grad_phys(f)
+            np.multiply(w[0], g[0], out=o)
+            for c in range(1, nd):
+                o += w[c] * g[c]
+        add_flops((2 * nd - 1) * v.size, "pointwise")
+        return out
 
     # ---------------------------------------------------------------- OIFS
     def oifs_integrate(
         self,
-        v0: Sequence[np.ndarray],
-        w_of_t: Callable[[float], Sequence[np.ndarray]],
+        v0: np.ndarray,
+        w_of_t: Callable[[float], np.ndarray],
         t_start: float,
         t_end: float,
         n_steps: int,
-        boundary_fix: Optional[Callable[[List[np.ndarray], float], List[np.ndarray]]] = None,
-    ) -> List[np.ndarray]:
+        boundary_fix: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
+    ) -> np.ndarray:
         """Integrate ``dv/ds = -(w(s) . grad) v`` from ``t_start`` to ``t_end``.
 
-        RK4 with ``n_steps`` substeps; ``w_of_t`` supplies the (time
-        interpolated) advecting velocity.  After each substep the fields
-        are made C0 by averaging — the collocated convection operator is
-        evaluated element-locally.
+        ``v0`` is a stack ``(m, K, n...)`` of fields (e.g. the velocity),
+        all advected together.  RK4 with ``n_steps`` substeps; ``w_of_t``
+        supplies the (time interpolated) advecting velocity.  After each
+        substep the fields are made C0 by averaging — the collocated
+        convection operator is evaluated element-locally.
 
         ``boundary_fix(fields, t)`` re-imposes Dirichlet data after each
         substep: required for through-flow boundaries, where incoming
@@ -115,28 +119,22 @@ class Convection:
         if n_steps < 1:
             raise ValueError("need at least one RK4 substep")
         h = (t_end - t_start) / n_steps
-        v = [np.array(f, dtype=float, copy=True) for f in v0]
+        v = np.array(v0, dtype=float)
         for s in range(n_steps):
             t = t_start + s * h
-            v = self._rk4_step(v, w_of_t, t, h)
-            v = [self.assembler.dsavg(f) for f in v]
+            v = self.assembler.dsavg(self._rk4_step(v, w_of_t, t, h))
             if boundary_fix is not None:
                 v = boundary_fix(v, t + h)
         return v
 
     def _rk4_step(self, v, w_of_t, t, h):
         def rhs(fields, tt):
-            w = w_of_t(tt)
-            return [-self.advect(w, f) for f in fields]
+            return -self.advect(w_of_t(tt), fields)
 
         k1 = rhs(v, t)
-        k2 = rhs([f + 0.5 * h * k for f, k in zip(v, k1)], t + 0.5 * h)
-        k3 = rhs([f + 0.5 * h * k for f, k in zip(v, k2)], t + 0.5 * h)
-        k4 = rhs([f + h * k for f, k in zip(v, k3)], t + h)
-        out = [
-            f + (h / 6.0) * (a + 2 * b + 2 * c + d)
-            for f, a, b, c, d in zip(v, k1, k2, k3, k4)
-        ]
-        add_flops(9.0 * sum(f.size for f in v), "pointwise")
-        return out
+        k2 = rhs(v + 0.5 * h * k1, t + 0.5 * h)
+        k3 = rhs(v + 0.5 * h * k2, t + 0.5 * h)
+        k4 = rhs(v + h * k3, t + h)
+        add_flops(9.0 * v.size, "pointwise")
+        return v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 

@@ -34,7 +34,7 @@ from ..core.pressure import PressureOperator
 from ..obs.telemetry import record_projection
 from ..obs.trace import trace
 from ..perf.flops import add_flops
-from ..solvers.cg import pcg
+from ..solvers.cg import SolveFailure, pcg
 from ..solvers.condensed import CondensedEPreconditioner
 from ..solvers.jacobi import JacobiPreconditioner
 from ..solvers.projection import SolutionProjector
@@ -212,14 +212,14 @@ class NavierStokesSolver:
         # assembled result), so the inner solves do not allocate per apply.
         self._helm_out = np.empty(mesh.local_shape)
 
-        # State.
+        # State.  Velocity-shaped arrays are (nd, K, n...) stacks.
         self.t = 0.0
         self.step_count = 0
-        self.u: List[np.ndarray] = [mesh.field() for _ in range(mesh.ndim)]
+        self.u: np.ndarray = np.zeros((mesh.ndim,) + mesh.local_shape)
         self.p: np.ndarray = self.pop.pressure_field()
-        self._u_hist: List[List[np.ndarray]] = []  # newest first
+        self._u_hist: List[np.ndarray] = []  # newest first
         self._t_hist: List[float] = []
-        self._conv_hist: List[List[np.ndarray]] = []  # -(u.grad)u, newest first
+        self._conv_hist: List[np.ndarray] = []  # -(u.grad)u, newest first
         self.stats: List[StepStats] = []
 
     # ------------------------------------------------------------ setup bits
@@ -237,24 +237,29 @@ class NavierStokesSolver:
             self._helmholtz_diag[order] = dia
         return self._helmholtz[order]
 
+    def _velocity(self, comps: Sequence, what: str, shape=None) -> np.ndarray:
+        """``nd`` components (of ``shape``, or broadcast) as one stack."""
+        nd = self.mesh.ndim
+        if len(comps) != nd:
+            raise ValueError(
+                f"{what}: the mesh has nd = {nd} velocity components, got {len(comps)}"
+            )
+        out = np.empty((nd,) + self.mesh.local_shape)
+        for o, comp in zip(out, comps):
+            arr = np.asarray(comp, dtype=float)
+            if shape is not None and arr.shape != shape:
+                raise ValueError(f"{what}: field shape {arr.shape} != {shape}")
+            o[...] = arr
+        return out
+
     # ------------------------------------------------------------- interface
     def set_initial_condition(
         self, u0: Sequence, p0: Optional[np.ndarray] = None, t0: float = 0.0
     ) -> None:
         """Set velocity (callables or arrays) and optional pressure at t0."""
-        fields = []
-        for comp in u0:
-            if callable(comp):
-                fields.append(self.mesh.eval_function(comp))
-            else:
-                arr = np.asarray(comp, dtype=float)
-                if arr.shape != self.mesh.local_shape:
-                    raise ValueError(
-                        f"initial field shape {arr.shape} != {self.mesh.local_shape}"
-                    )
-                fields.append(arr.copy())
-        self.u = [self.assembler.dsavg(f) for f in fields]
-        self.u = self.bc.apply_to(self.u, t0)
+        u0 = [self.mesh.eval_function(c) if callable(c) else c for c in u0]
+        u0 = self._velocity(u0, "initial condition", self.mesh.local_shape)
+        self.u = self.bc.apply_to(self.assembler.dsavg(u0), t0)
         if p0 is not None:
             self.p = np.asarray(p0, dtype=float).copy()
         self.t = float(t0)
@@ -271,7 +276,7 @@ class NavierStokesSolver:
 
     def kinetic_energy(self) -> float:
         """``1/2 integral |u|^2`` over the domain."""
-        return 0.5 * sum(self.mass.integrate(np.asarray(c) ** 2) for c in self.u)
+        return 0.5 * sum(self.mass.integrate(c**2) for c in self.u)
 
     def divergence_norm(self) -> float:
         """2-norm of the discrete divergence ``D u`` (pressure grid)."""
@@ -303,6 +308,8 @@ class NavierStokesSolver:
         import time as _time
 
         wall0 = _time.perf_counter()
+        if extra_forcing is not None:
+            extra_forcing = self._velocity(extra_forcing, "extra_forcing")
         order = min(self.scheme, self.step_count + 1)
         beta0, betas = BDF_COEFFS[order]
         dt = self.dt
@@ -311,61 +318,45 @@ class NavierStokesSolver:
         cfl = self.cfl()
 
         # -- push current state into history ---------------------------------
-        self._u_hist.insert(0, [c.copy() for c in self.u])
+        self._u_hist.insert(0, self.u.copy())
         self._t_hist.insert(0, self.t)
         if self.convection_mode == "ext":
-            n_u = self.conv.advect_fields(self.u, self.u)
-            self._conv_hist.insert(0, [-f for f in n_u])
+            self._conv_hist.insert(0, -self.conv.advect(self.u, self.u))
         keep = max(self.scheme, 1)
         del self._u_hist[keep:], self._t_hist[keep:], self._conv_hist[keep:]
 
         # -- assemble the time-derivative + convection RHS --------------------
         with trace("convection"):
-            rhs_time = [np.zeros(self.mesh.local_shape) for _ in range(nd)]
+            rhs_time = np.zeros_like(self.u)
             if self.convection_mode == "oifs":
                 n_sub = max(1, int(np.ceil(max(cfl, 1e-12) / self.oifs_cfl_target)))
                 w_of_t = self._advecting_field_interpolant()
                 # Through-flow Dirichlet boundaries feed data along incoming
                 # characteristics during the sub-integration.
-                bfix = (lambda v, t: self.bc.apply_to(v, t)) if self.mask.n_constrained else None
-                for q, bq in enumerate(betas, start=1):
-                    if q > len(self._u_hist):
-                        continue
-                    u_tilde = self.conv.oifs_integrate(
+                bfix = self.bc.apply_to if self.mask.n_constrained else None
+                for q, bq in enumerate(betas[: len(self._u_hist)], start=1):
+                    rhs_time += (bq / dt) * self.conv.oifs_integrate(
                         self._u_hist[q - 1], w_of_t, self._t_hist[q - 1], t_new,
                         n_steps=n_sub * q, boundary_fix=bfix,
                     )
-                    for c in range(nd):
-                        rhs_time[c] += (bq / dt) * u_tilde[c]
             else:
-                for q, bq in enumerate(betas, start=1):
-                    if q > len(self._u_hist):
-                        continue
-                    for c in range(nd):
-                        rhs_time[c] += (bq / dt) * self._u_hist[q - 1][c]
+                for bq, u_q in zip(betas, self._u_hist):
+                    rhs_time += (bq / dt) * u_q
                 if self.convection_mode == "ext":
-                    exts = EXT_COEFFS[order]
-                    for q, gq in enumerate(exts, start=1):
-                        if q > len(self._conv_hist):
-                            continue
-                        for c in range(nd):
-                            rhs_time[c] += gq * self._conv_hist[q - 1][c]
+                    for gq, n_q in zip(EXT_COEFFS[order], self._conv_hist):
+                        rhs_time += gq * n_q
 
             if self.forcing is not None:
                 fvals = self.forcing(*[np.asarray(x) for x in self.mesh.coords], t_new)
-                for c in range(nd):
-                    rhs_time[c] = rhs_time[c] + np.broadcast_to(
-                        np.asarray(fvals[c], dtype=float), self.mesh.local_shape
-                    )
+                rhs_time = rhs_time + self._velocity(fvals, "forcing")
             if extra_forcing is not None:
-                for c in range(nd):
-                    rhs_time[c] = rhs_time[c] + extra_forcing[c]
+                rhs_time = rhs_time + extra_forcing
 
         # -- velocity Helmholtz solves ----------------------------------------
         with trace("helmholtz"):
             grad_p = self.pop.apply_div_t(self.p)
             u_bound = self.bc.lift(t_new)
-            u_star: List[np.ndarray] = []
+            u_star = np.empty_like(u_bound)
             h_iters: List[int] = []
             helm = self._helmholtz_for(order)
             precond = JacobiPreconditioner(self._helmholtz_diag[order])
@@ -373,6 +364,7 @@ class NavierStokesSolver:
                 rhs_local = self.mass.apply(rhs_time[c]) + grad_p[c] - helm.apply(u_bound[c])
                 b = self.mask.apply(self.assembler.dssum(rhs_local))
                 x0 = self.mask.apply(self.u[c] - u_bound[c])
+                label = f"helmholtz_u{c}"
                 res = pcg(
                     lambda v: self.mask.apply(
                         self.assembler.dssum(helm.apply(v, out=self._helm_out))
@@ -384,14 +376,14 @@ class NavierStokesSolver:
                     tol=0.0,
                     rtol=self.helmholtz_tol,
                     maxiter=2000,
-                    label=f"helmholtz_u{c}",
+                    label=label,
                 )
                 if not res.converged:
-                    raise RuntimeError(
-                        f"velocity Helmholtz solve (component {c}) failed: {res}"
+                    raise SolveFailure.unconverged(
+                        f"velocity Helmholtz solve (component {c})", res, label
                     )
                 h_iters.append(res.iterations)
-                u_star.append(res.x + u_bound[c])
+                u_star[c] = res.x + u_bound[c]
 
         # -- pressure correction ----------------------------------------------
         with trace("pressure"):
@@ -420,7 +412,7 @@ class NavierStokesSolver:
                 label="pressure",
             )
             if not res_p.converged:
-                raise RuntimeError(f"pressure solve failed: {res_p}")
+                raise SolveFailure.unconverged("pressure solve", res_p, "pressure")
             if self.projector is not None:
                 self.projector.finish(res_p.x, dp0 + res_p.x)
             dp = dp0 + res_p.x
@@ -429,15 +421,14 @@ class NavierStokesSolver:
 
             # -- velocity update -------------------------------------------------
             corr = self.pop.apply_binv(self.pop.apply_div_t(dp))
-            self.u = [u_star[c] + (dt / beta0) * corr[c] for c in range(nd)]
+            self.u = u_star + (dt / beta0) * corr
             self.p = self.p + dp
 
         # -- filtering ---------------------------------------------------------
         if self.filter is not None:
             with trace("filter"):
-                self.u = [self.filter(c) for c in self.u]
-                self.u = self.bc.apply_to(self.u, t_new)
-        add_flops(2.0 * nd * self.u[0].size, "pointwise")
+                self.u = self.bc.apply_to(self.filter(self.u), t_new)
+        add_flops(2.0 * self.u.size, "pointwise")
 
         self.t = t_new
         self.step_count += 1
@@ -460,7 +451,7 @@ class NavierStokesSolver:
         return [self.step(**kw) for _ in range(n_steps)]
 
     # ------------------------------------------------------------- internals
-    def _advecting_field_interpolant(self) -> Callable[[float], List[np.ndarray]]:
+    def _advecting_field_interpolant(self) -> Callable[[float], np.ndarray]:
         """Lagrange interpolation/extrapolation of the velocity history.
 
         Supplies ``w(s)`` for the OIFS sub-integration: interpolating within
@@ -473,7 +464,7 @@ class NavierStokesSolver:
             w0 = fields[0]
             return lambda s: w0
 
-        def w_of_t(s: float) -> List[np.ndarray]:
+        def w_of_t(s: float) -> np.ndarray:
             coeffs = []
             for i, ti in enumerate(times):
                 c = 1.0
@@ -481,10 +472,6 @@ class NavierStokesSolver:
                     if i != j:
                         c *= (s - tj) / (ti - tj)
                 coeffs.append(c)
-            nd = self.mesh.ndim
-            return [
-                sum(coeffs[i] * fields[i][comp] for i in range(len(times)))
-                for comp in range(nd)
-            ]
+            return sum(ci * f for ci, f in zip(coeffs, fields))
 
         return w_of_t

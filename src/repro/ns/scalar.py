@@ -23,7 +23,7 @@ import numpy as np
 
 from ..core.operators import HelmholtzOperator
 from ..obs.trace import trace
-from ..solvers.cg import pcg
+from ..solvers.cg import SolveFailure, pcg
 from ..solvers.jacobi import JacobiPreconditioner
 from .bcs import ScalarBC
 from .navier_stokes import BDF_COEFFS, EXT_COEFFS, NavierStokesSolver
@@ -145,7 +145,7 @@ class ScalarTransport:
                 label="scalar",
             )
         if not res.converged:
-            raise RuntimeError(f"scalar Helmholtz solve failed: {res}")
+            raise SolveFailure.unconverged("scalar Helmholtz solve", res, "scalar")
         self.T = res.x + t_bound
         if self.use_filter and flow.filter is not None:
             self.T = flow.filter(self.T)
@@ -181,10 +181,7 @@ class BoussinesqCoupling:
 
     def step(self):
         """One coupled (velocity, temperature) step; returns both stats."""
-        forcing = [
-            self.buoyancy * self.g_dir[c] * self.transport.T
-            for c in range(self.flow.mesh.ndim)
-        ]
+        forcing = np.multiply.outer(self.buoyancy * self.g_dir, self.transport.T)
         flow_stats = self.flow.step(extra_forcing=forcing)
         scalar_iters = self.transport.step()
         return flow_stats, scalar_iters

@@ -18,7 +18,7 @@ preconditions S exactly as it does E (both are consistent-Poisson-like).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from ..core.mesh import Mesh
 from ..core.operators import HelmholtzOperator, MassOperator
 from ..core.pressure import PressureOperator
 from ..obs.trace import trace
-from ..solvers.cg import pcg
+from ..solvers.cg import SolveFailure, pcg
 from ..solvers.condensed import CondensedEPreconditioner
 from ..solvers.jacobi import JacobiPreconditioner
 from ..solvers.schwarz import SchwarzPreconditioner
@@ -40,7 +40,7 @@ __all__ = ["StokesSolver", "StokesResult"]
 
 @dataclass
 class StokesResult:
-    u: List[np.ndarray]
+    u: np.ndarray  # (nd, K, n...)
     p: np.ndarray
     pressure_iterations: int
     velocity_solves: int
@@ -150,31 +150,36 @@ class StokesSolver:
 
     # ------------------------------------------------------------ internals
     def _solve_velocity(self, rhs_local: np.ndarray, lift: np.ndarray) -> np.ndarray:
-        """One component solve ``(1/Re) A u = rhs`` with boundary lift."""
-        b = self.mask.apply(
-            self.assembler.dssum(rhs_local - self.visc.apply(lift))
-        )
-        with trace("velocity"):
-            res = pcg(
-                lambda v: self.mask.apply(self.assembler.dssum(self.visc.apply(v))),
-                b,
-                dot=self.assembler.dot,
-                precond=self._vel_precond,
-                tol=0.0,
-                rtol=self.velocity_tol,
-                maxiter=5000,
-                label="stokes_velocity",
+        """Component solves ``(1/Re) A u_c = rhs_c`` with boundary lift
+        (velocity stacks in and out)."""
+        u = np.empty_like(lift)
+        for c in range(self.mesh.ndim):
+            b = self.mask.apply(
+                self.assembler.dssum(rhs_local[c] - self.visc.apply(lift[c]))
             )
-        if not res.converged:
-            raise RuntimeError(f"Stokes velocity solve failed: {res}")
-        self.velocity_solves += 1
-        return res.x + lift
+            with trace("velocity"):
+                res = pcg(
+                    lambda v: self.mask.apply(self.assembler.dssum(self.visc.apply(v))),
+                    b,
+                    dot=self.assembler.dot,
+                    precond=self._vel_precond,
+                    tol=0.0,
+                    rtol=self.velocity_tol,
+                    maxiter=5000,
+                    label="stokes_velocity",
+                )
+            if not res.converged:
+                raise SolveFailure.unconverged(
+                    "Stokes velocity solve", res, "stokes_velocity"
+                )
+            self.velocity_solves += 1
+            u[c] = res.x + lift[c]
+        return u
 
-    def _a_inv_dt(self, p: np.ndarray) -> List[np.ndarray]:
-        """``A^{-1} D^T p`` per component (homogeneous BCs)."""
+    def _a_inv_dt(self, p: np.ndarray) -> np.ndarray:
+        """``A^{-1} D^T p`` (homogeneous BCs)."""
         grad = self.pop.apply_div_t(p)
-        zero = np.zeros(self.mesh.local_shape)
-        return [self._solve_velocity(g, zero) for g in grad]
+        return self._solve_velocity(grad, np.zeros_like(grad))
 
     def _schur(self, p: np.ndarray) -> np.ndarray:
         """``S p = D A^{-1} D^T p`` with the nullspace projected out."""
@@ -186,20 +191,16 @@ class StokesSolver:
     # ---------------------------------------------------------------- solve
     def solve(self, forcing: Optional[Callable] = None) -> StokesResult:
         """Solve the steady Stokes problem with body force ``f(x, y[, z])``."""
-        nd = self.mesh.ndim
         lifts = self.bc.lift(0.0)
+        f_local = np.zeros_like(lifts)
         if forcing is not None:
             fvals = forcing(*[np.asarray(c) for c in self.mesh.coords])
-            f_local = [
-                self.mass.apply(np.broadcast_to(np.asarray(fc, dtype=float),
-                                                self.mesh.local_shape))
-                for fc in fvals
-            ]
-        else:
-            f_local = [np.zeros(self.mesh.local_shape) for _ in range(nd)]
+            for f, fc in zip(f_local, fvals):
+                f[...] = fc
+            f_local = self.mass.apply(f_local)
 
         # u_f = A^{-1} B f (with the boundary data lifted here once).
-        u_f = [self._solve_velocity(f_local[c], lifts[c]) for c in range(nd)]
+        u_f = self._solve_velocity(f_local, lifts)
         g = self.pop.apply_div(u_f)
         if self.pop.has_nullspace:
             g = g - float(np.sum(g) / g.size)
@@ -222,8 +223,7 @@ class StokesSolver:
         if self.pop.has_nullspace:
             p = p - float(np.sum(p) / p.size)
         # u = u_f - A^{-1} D^T p
-        corr = self._a_inv_dt(p)
-        u = [u_f[c] - corr[c] for c in range(nd)]
+        u = u_f - self._a_inv_dt(p)
         div = float(np.linalg.norm(self.pop.apply_div(u).ravel()))
         return StokesResult(
             u=u,

@@ -41,6 +41,7 @@ from ..core.operators import HelmholtzOperator
 from ..obs.telemetry import record_comm, record_solve
 from ..obs.trace import trace
 from ..perf.flops import add_flops
+from ..solvers.cg import SolveFailure
 from .comm import SimComm
 from .gs import GatherScatter, RankGS, gs_init, gs_op_rank
 from .machine import Machine
@@ -109,7 +110,7 @@ def cg_rank_program(
     plus the (globally identical) iteration metadata and residual history.
 
     A non-finite right-hand side or a non-finite / non-positive ``p·Ap``
-    raises :class:`numpy.linalg.LinAlgError`, as serial ``pcg`` does.  The
+    raises :class:`~repro.solvers.cg.SolveFailure`, as serial ``pcg`` does.  The
     tested scalars are allreduced, so every rank raises at the same point
     and no peer is left waiting.
     """
@@ -121,8 +122,9 @@ def cg_rank_program(
         rz = _dot(comm, ctx, r, z)
         rr = _dot(comm, ctx, r, r)
         if not np.isfinite(rr):
-            raise np.linalg.LinAlgError(
-                "distributed PCG received a non-finite right-hand side"
+            raise SolveFailure(
+                "distributed PCG received a non-finite right-hand side",
+                "spmd_cg", 0, [rr],
             )
         norm_r = float(np.sqrt(max(rr, 0.0)))
         history = [norm_r]
@@ -132,9 +134,10 @@ def cg_rank_program(
             ap = _matvec(comm, ctx, p_dir)
             pap = _dot(comm, ctx, p_dir, ap)
             if not np.isfinite(pap) or pap <= 0:
-                raise np.linalg.LinAlgError(
+                raise SolveFailure(
                     f"distributed PCG breakdown: p^T A p = {pap:.3e} "
-                    f"at iteration {it + 1}"
+                    f"at iteration {it + 1}",
+                    "spmd_cg", it + 1, history,
                 )
             alpha = rz / pap
             x += alpha * p_dir

@@ -15,17 +15,34 @@ an absolute tolerance, matching the fixed tolerances quoted in the paper
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..obs.telemetry import record_solve
 from ..perf.flops import add_flops
 
-__all__ = ["CGResult", "pcg"]
+__all__ = ["CGResult", "SolveFailure", "pcg"]
 
 ArrayOp = Callable[[np.ndarray], np.ndarray]
 DotOp = Callable[[np.ndarray, np.ndarray], float]
+
+
+class SolveFailure(np.linalg.LinAlgError):
+    """A Krylov solve that broke down or did not converge: carries its
+    ``label`` (e.g. ``"pressure"``), the iteration it stopped at and its
+    residual history, so a caller can tell which solve failed and how."""
+
+    def __init__(self, message: str, label: Optional[str] = None,
+                 iterations: int = 0, residual_history: Sequence[float] = ()):
+        super().__init__(message)
+        self.label, self.iterations = label, int(iterations)
+        self.residual_history = list(residual_history)
+
+    @classmethod
+    def unconverged(cls, what: str, res: "CGResult", label: str) -> "SolveFailure":
+        """The failure of a solve that stopped at its iteration cap."""
+        return cls(f"{what} failed: {res}", label, res.iterations, res.residual_history)
 
 
 @dataclass
@@ -109,8 +126,9 @@ def pcg(
 
     rr = dot(r, r)
     if not np.isfinite(rr):
-        raise np.linalg.LinAlgError(
-            "PCG received a non-finite right-hand side (upstream blow-up?)"
+        raise SolveFailure(
+            "PCG received a non-finite right-hand side (upstream blow-up?)",
+            label, 0, [rr],
         )
     norm_r = float(np.sqrt(max(rr, 0.0)))
     r0 = norm_r
@@ -132,14 +150,16 @@ def pcg(
         ap = matvec(p)
         pap = dot(p, ap)
         if not np.isfinite(pap):
-            raise np.linalg.LinAlgError(
-                f"PCG breakdown: non-finite p^T A p at iteration {it}"
+            raise SolveFailure(
+                f"PCG breakdown: non-finite p^T A p at iteration {it}",
+                label, it, history,
             )
         if pap <= 0:
             # Loss of positive-definiteness (round-off or a bad mask):
             # surface it rather than silently diverging.
-            raise np.linalg.LinAlgError(
-                f"PCG breakdown: p^T A p = {pap:.3e} <= 0 at iteration {it}"
+            raise SolveFailure(
+                f"PCG breakdown: p^T A p = {pap:.3e} <= 0 at iteration {it}",
+                label, it, history,
             )
         alpha = rz / pap
         np.multiply(alpha, p, out=work)

@@ -34,6 +34,7 @@ from ..core.mesh import box_mesh_2d
 from ..ns.bcs import VelocityBC
 from ..api import SolverConfig
 from ..ns.navier_stokes import NavierStokesSolver
+from ..solvers.cg import SolveFailure
 
 __all__ = [
     "chebyshev_diff_matrix",
@@ -239,7 +240,7 @@ class OrrSommerfeldCase:
         for s in range(n_steps):
             try:
                 sol.step()
-            except (RuntimeError, np.linalg.LinAlgError, FloatingPointError):
+            except SolveFailure:
                 blew_up = True
                 break
             if (s + 1) % sample_every == 0 or s == n_steps - 1:

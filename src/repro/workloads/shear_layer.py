@@ -30,6 +30,7 @@ from ..core.mesh import box_mesh_2d
 from ..ns.bcs import VelocityBC
 from ..api import SolverConfig
 from ..ns.navier_stokes import NavierStokesSolver
+from ..solvers.cg import SolveFailure
 
 __all__ = ["ShearLayerCase", "ShearLayerResult"]
 
@@ -132,7 +133,7 @@ class ShearLayerCase:
                 # before the solver guard trips; keep the warnings quiet.
                 with np.errstate(over="ignore", invalid="ignore"):
                     sol.step()
-            except (RuntimeError, np.linalg.LinAlgError, FloatingPointError):
+            except SolveFailure:
                 blowup_time = sol.t
                 break
             umax = max(float(np.max(np.abs(c))) for c in sol.u)

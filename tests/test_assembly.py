@@ -82,6 +82,29 @@ class TestAssembler:
         with pytest.raises(ValueError):
             Assembler(np.array([0, 2, 3]))  # id 1 missing
 
+    @pytest.mark.parametrize("mesh", [
+        box_mesh_2d(3, 2, 4),
+        box_mesh_3d(2, 2, 1, 3),
+        box_mesh_2d(3, 3, 4, periodic=(True, True)),
+        box_mesh_3d(2, 2, 2, 3, periodic=(True, False, True)),
+    ], ids=["2d", "3d", "2d-periodic", "3d-periodic"])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_stacked_fields_bitwise_equal_per_field_calls(self, mesh, m):
+        a = Assembler.for_mesh(mesh)
+        u = np.random.default_rng(m).standard_normal((m,) + mesh.local_shape)
+        per_field = np.stack([a.dssum(f) for f in u])
+        assert np.array_equal(a.dssum(u), per_field)
+        out = np.empty_like(u)
+        assert a.dssum(u, out=out) is out
+        assert np.array_equal(out, per_field)
+        assert np.array_equal(a.dsavg(u), np.stack([a.dsavg(f) for f in u]))
+
+    def test_field_of_wrong_size_raises(self, mesh2):
+        a = Assembler.for_mesh(mesh2)
+        for bad in (np.zeros((2, 5)), np.zeros(a.global_ids.size + 1)):
+            with pytest.raises(ValueError):
+                a.dssum(bad)
+
 
 class TestDirichletMask:
     def test_apply_zeroes_constrained(self, mesh2):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.solvers.cg import CGResult, pcg
+from repro.solvers.cg import CGResult, SolveFailure, pcg
 
 
 def spd(n, cond=50.0, seed=0):
@@ -74,6 +74,22 @@ class TestPCGSemantics:
         b = np.full(5, np.nan)
         with pytest.raises(np.linalg.LinAlgError):
             pcg(lambda v: a @ v, b)
+
+    def test_nan_rhs_raises_solve_failure_with_label(self):
+        a = spd(5)
+        b = np.full(5, np.nan)
+        with pytest.raises(SolveFailure, match="non-finite") as info:
+            pcg(lambda v: a @ v, b, label="pressure")
+        assert info.value.label == "pressure"
+        assert info.value.iterations == 0
+        assert len(info.value.residual_history) == 1
+
+    def test_breakdown_carries_iteration_and_history(self):
+        a = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(SolveFailure) as info:
+            pcg(lambda v: a @ v, np.ones(3), tol=1e-12, maxiter=50, label="x")
+        assert info.value.label == "x"
+        assert info.value.iterations == len(info.value.residual_history) >= 1
 
     def test_preconditioner_accelerates(self):
         a = spd(60, cond=1e4, seed=4)

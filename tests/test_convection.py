@@ -49,14 +49,18 @@ class TestAdvect:
         v = m.eval_function(lambda x, y: x + 4 * y)
         assert np.allclose(conv.advect(w, v), 2 * 1 + (-1) * 4, atol=1e-10)
 
-    def test_advect_fields_vectorized(self):
+    def test_advect_stacked_fields(self):
         m = box_mesh_2d(2, 2, 4)
         conv, _ = make_conv(m)
-        w = [m.eval_function(lambda x, y: y), m.eval_function(lambda x, y: -x)]
-        outs = conv.advect_fields(w, w)
+        w = np.stack([m.eval_function(lambda x, y: y), m.eval_function(lambda x, y: -x)])
+        outs = conv.advect(w, w)
+        assert outs.shape == w.shape
         # (w.grad)w for solid rotation: centripetal: (-x, -y)
         assert np.allclose(outs[0], -np.asarray(m.coords[0]), atol=1e-9)
         assert np.allclose(outs[1], -np.asarray(m.coords[1]), atol=1e-9)
+        # The stacked call is bitwise the per-field one.
+        for c in range(2):
+            assert np.array_equal(outs[c], conv.advect(w, w[c]))
 
 
 class TestCourant:

@@ -159,11 +159,14 @@ class TestFieldFilter:
         with pytest.raises(ValueError):
             FieldFilter(m, 0.2, n_modes=5)
 
-    def test_filter_fields_multiple(self):
+    def test_filter_stacked_fields(self):
         m = box_mesh_2d(2, 1, 5)
         filt = FieldFilter(m, 0.2)
         u = m.eval_function(lambda x, y: x)
         v = m.eval_function(lambda x, y: y)
-        fu, fv = filt.filter_fields(u, v)
+        fu, fv = filt(np.stack([u, v]))
         assert np.allclose(fu, u, atol=1e-10)
         assert np.allclose(fv, v, atol=1e-10)
+        # One stacked call is bitwise the per-field calls.
+        rough = np.random.default_rng(3).standard_normal((3,) + m.local_shape)
+        assert np.array_equal(filt(rough), np.stack([filt(f) for f in rough]))

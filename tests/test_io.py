@@ -37,6 +37,15 @@ class TestVTK:
         text = save_vtk(tmp_path / "v.vtk", m, {"vel": u}).read_text()
         assert "VECTORS vel double" in text
 
+    def test_velocity_stack_is_written_as_vectors(self, tmp_path):
+        m = box_mesh_3d(1, 1, 2, 2)
+        u = np.stack([np.asarray(c) for c in m.coords])  # (3, K, n, n, n)
+        text = save_vtk(tmp_path / "v3.vtk", m, {"velocity": u}).read_text()
+        assert "VECTORS velocity double" in text
+        i0 = text.splitlines().index("VECTORS velocity double") + 1
+        first = [float(v) for v in text.splitlines()[i0].split()]
+        assert first == [float(u[c].flat[0]) for c in range(3)]
+
     def test_coordinates_roundtrip(self, tmp_path):
         m = map_mesh(box_mesh_2d(2, 2, 2), lambda x, y: (x + 0.1 * y, y))
         path = save_vtk(tmp_path / "c.vtk", m)
@@ -96,3 +105,18 @@ class TestCheckpoint:
         assert np.array_equal(a.p, b.p)
         assert len(b._u_hist) == len(a._u_hist)
         assert b._t_hist == a._t_hist
+
+    def test_stacked_state_roundtrip_is_bitwise(self, tmp_path):
+        a = self.make_solver()
+        a.advance(3)
+        save_checkpoint(tmp_path / "ck.npz", a)
+        b = self.make_solver()
+        load_checkpoint(tmp_path / "ck.npz", b)
+        stack = (2,) + a.mesh.local_shape
+        assert isinstance(b.u, np.ndarray) and b.u.shape == stack
+        assert np.array_equal(a.u, b.u)
+        for hist in ("_u_hist", "_conv_hist"):
+            ha, hb = getattr(a, hist), getattr(b, hist)
+            assert len(ha) == len(hb) == 2
+            for x, y in zip(ha, hb):
+                assert y.shape == stack and np.array_equal(x, y)

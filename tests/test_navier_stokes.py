@@ -9,6 +9,7 @@ from repro.core.mesh import box_mesh_2d, box_mesh_3d
 from repro.ns.bcs import ScalarBC, VelocityBC
 from repro.ns.navier_stokes import BDF_COEFFS, EXT_COEFFS, NavierStokesSolver
 from repro.ns.scalar import BoussinesqCoupling, ScalarTransport
+from repro.solvers.cg import SolveFailure
 
 
 def taylor_green_solver(N=7, ne=4, dt=0.02, re=20.0, projection_window=8, **kw):
@@ -65,6 +66,40 @@ class TestConstruction:
         sol = NavierStokesSolver(m, re=10, dt=0.1, convection="none")
         with pytest.raises(ValueError):
             sol.set_initial_condition([np.zeros(3), np.zeros(3)])
+
+    def test_wrong_component_count_raises_at_the_call(self):
+        m = box_mesh_3d(2, 1, 1, 4)
+        sol = NavierStokesSolver(m, re=10, dt=0.01)
+        f = lambda x, y, z: 0 * x  # noqa: E731
+        with pytest.raises(ValueError, match="nd = 3.*got 2"):
+            sol.set_initial_condition([f, f])
+        sol.set_initial_condition([f, f, f])
+        with pytest.raises(ValueError, match="nd = 3.*got 1"):
+            sol.step(extra_forcing=[m.field()])
+        assert sol.step_count == 0 and not sol._u_hist
+
+    def test_non_finite_state_raises_solve_failure(self):
+        m = box_mesh_2d(2, 2, 4)
+        sol = NavierStokesSolver(m, re=10, dt=0.1, convection="none")
+        u0 = m.field()
+        u0[1, 2, 2] = np.nan
+        sol.set_initial_condition([u0, m.field()])
+        with pytest.raises(SolveFailure) as info:
+            sol.step()
+        assert info.value.label == "helmholtz_u0"
+
+    def test_state_is_one_velocity_stack(self):
+        sol, mesh = taylor_green_solver(N=5, ne=3, convection="oifs", filter_alpha=0.1)
+        stack = (2,) + mesh.local_shape
+        sol.advance(3)
+        sol_ext, _ = taylor_green_solver(N=5, ne=3)
+        sol_ext.advance(3)
+        for s in (sol, sol_ext):
+            assert isinstance(s.u, np.ndarray) and s.u.shape == stack
+            hists = s._u_hist + s._conv_hist
+            assert len(hists) == (2 if s is sol else 4)
+            for h in hists:
+                assert isinstance(h, np.ndarray) and h.shape == stack
 
     def test_initial_condition_respects_bc(self):
         m = box_mesh_2d(2, 2, 4)

@@ -7,7 +7,7 @@ from repro.core.mesh import box_mesh_2d, box_mesh_3d
 from repro.core.operators import build_helmholtz_system
 from repro.parallel.machine import ASCI_RED_333, Machine
 from repro.parallel.spmd_cg import DistributedSEMSolver
-from repro.solvers.cg import pcg
+from repro.solvers.cg import SolveFailure, pcg
 from repro.solvers.jacobi import jacobi_preconditioner
 
 M = ASCI_RED_333
@@ -64,8 +64,9 @@ class TestCorrectness:
         f = mesh.eval_function(lambda x, y: x + y)
         f[5, 2, 2] = np.nan
         solver = DistributedSEMSolver(mesh, M, 2, h1=1.0, h0=1.0)
-        with pytest.raises(np.linalg.LinAlgError, match="non-finite right-hand side"):
+        with pytest.raises(SolveFailure, match="non-finite right-hand side") as info:
             solver.solve(f, tol=1e-10, executor="sim")
+        assert info.value.label == "spmd_cg"
 
     def test_too_many_ranks_rejected(self):
         mesh = box_mesh_2d(2, 2, 3)
