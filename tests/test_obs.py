@@ -289,18 +289,6 @@ def _mxm_contract(op_shape, field_shape):
     return 2.0 * m * n * (size // n)
 
 
-def _mxm_tensor(op_shape, field_shape):
-    """Analytic flops of ``apply_tensor`` with one op per tensor direction."""
-    shape = list(field_shape)
-    m, _n = op_shape
-    total = 0.0
-    for direction in range(len(shape) - 1):
-        axis = len(shape) - 1 - direction
-        total += _mxm_contract(op_shape, shape)
-        shape[axis] = m
-    return total
-
-
 def _measured_mxm(apply_fn, u):
     reset_flops()
     apply_fn(u)
@@ -341,16 +329,14 @@ def test_flop_parity_consistent_poisson(backend, ndim):
     mesh = box_mesh_2d(3, 2, 5) if ndim == 2 else box_mesh_3d(2, 2, 2, 4)
     pop = PressureOperator(mesh)
     p = np.random.rand(*pop.p_shape)
-    n1, m = mesh.order + 1, mesh.order - 1
-    vshape = mesh.local_shape
-    pshape = pop.p_shape
-    # E = D B^{-1} D^T.  D^T: per (component, direction) pair, one GL->GLL
-    # tensor interpolation of the pressure field plus one derivative lift;
-    # D: one derivative plus one GLL->GL tensor interpolation.  B^{-1} is
-    # pointwise.  nd^2 pairs each.
-    per_pair_divt = _mxm_tensor((n1, m), pshape) + _mxm_contract((n1, n1), vshape)
-    per_pair_div = _mxm_contract((n1, n1), vshape) + _mxm_tensor((m, n1), vshape)
-    expected = ndim * ndim * (per_pair_divt + per_pair_div)
+    n, m, K = mesh.order + 1, mesh.order - 1, mesh.K
+    # E = D B^{-1} D^T.  D is one factored stage tree per velocity
+    # component (the fused J.D along each term's own direction, the GLL->GL
+    # interpolants along slower directions shared), D^T its mirror; B^{-1}
+    # is pointwise.  Per component and operator: 2 m n K (2 n^2 + 3 m n +
+    # 3 m^2) in 3-D, 2 m n K (2 n + 2 m) in 2-D.
+    tree = 2 * n * n + 3 * m * n + 3 * m * m if ndim == 3 else 2 * n + 2 * m
+    expected = 2 * ndim * 2 * m * n * K * tree
     with use_backend(backend):
         measured = _measured_mxm(pop.apply_e, p)
     assert measured == pytest.approx(expected, rel=0, abs=0.5)

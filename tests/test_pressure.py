@@ -1,12 +1,17 @@
 """Tests for the PN-PN-2 pressure operators D, D^T and E = D B^-1 D^T."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.backends import available_backends, use_backend
 from repro.core.assembly import DirichletMask
 from repro.core.mesh import box_mesh_2d, box_mesh_3d, map_mesh
 from repro.core.pressure import PressureOperator
+from repro.core.tensor import apply_1d, apply_tensor
 from repro.solvers.cg import pcg
+from repro.workloads.hairpin import bump_channel_mesh
 
 
 @pytest.fixture
@@ -26,6 +31,19 @@ class TestShapes:
     def test_wrong_component_count(self, pop2):
         with pytest.raises(ValueError):
             pop2.apply_div([np.zeros(pop2.mesh.local_shape)])
+
+    def test_wrong_element_count_names_both_shapes(self, pop2):
+        with pytest.raises(ValueError, match=re.escape("(2, 7, 6, 6), expected (2, 6, 6, 6)")):
+            pop2.apply_div(np.zeros((2, 7, 6, 6)))
+        with pytest.raises(ValueError, match=re.escape("(7, 4, 4), expected (6, 4, 4)")):
+            pop2.apply_div_t(np.zeros((7, 4, 4)))
+
+    def test_wrong_out_shapes_name_both_shapes(self, pop2):
+        u = np.zeros((2,) + pop2.mesh.local_shape)
+        with pytest.raises(ValueError, match=re.escape("(6, 5, 5), expected (6, 4, 4)")):
+            pop2.apply_div(u, out=np.empty((6, 5, 5)))
+        with pytest.raises(ValueError, match=re.escape("(2, 6, 5, 5), expected (2, 6, 6, 6)")):
+            pop2.apply_div_t(pop2.pressure_field(), out=np.empty((2, 6, 5, 5)))
 
 
 class TestDivergence:
@@ -166,3 +184,55 @@ class TestInterpolation:
         q = pop2.remove_mean(p + np.random.default_rng(6).standard_normal(pop2.p_shape))
         # mass-weighted mean is ~0 afterwards
         assert abs(pop2.mean(q)) < 1e-12
+
+
+def _unfactored_div(pop, u):
+    """Reference D: per (c, a), a full derivative along a, then a GLL -> GL
+    interpolation along every direction."""
+    nd = pop.mesh.ndim
+    out = np.zeros(pop.p_shape)
+    for c in range(nd):
+        for a in range(nd):
+            out += pop.wcof[a][c] * apply_tensor([pop.j_down] * nd, apply_1d(pop.d, u[c], a))
+    return out
+
+
+def _unfactored_div_t(pop, p):
+    """Reference D^T: the transpose of each (c, a) chain of ``_unfactored_div``."""
+    nd = pop.mesh.ndim
+    out = np.zeros((nd,) + pop.mesh.local_shape)
+    for c in range(nd):
+        for a in range(nd):
+            lifted = apply_tensor([pop.j_down.T] * nd, pop.wcof[a][c] * p)
+            out[c] += apply_1d(np.asarray(pop.d).T, lifted, a)
+    return out
+
+
+EQUIVALENCE_MESHES = {
+    "rect2d": lambda: box_mesh_2d(3, 2, 5),
+    "bilinear2d": lambda: map_mesh(
+        box_mesh_2d(3, 2, 6), lambda x, y: (x + 0.1 * x * y + 0.2 * y, y - 0.15 * x * y + 0.05 * x)
+    ),
+    "periodic2d": lambda: box_mesh_2d(3, 3, 4, periodic=(True, True)),
+    "box3d": lambda: box_mesh_3d(2, 2, 1, 4),
+    "bump3d": lambda: bump_channel_mesh(3, 2, 2, order=4),
+}
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("kind", sorted(EQUIVALENCE_MESHES))
+def test_factored_applies_match_unfactored_chain(kind, backend):
+    """The factored stage trees equal the unfactored per-(c, a) chain."""
+    mesh = EQUIVALENCE_MESHES[kind]()
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal((mesh.ndim,) + mesh.local_shape)
+    p = rng.standard_normal((mesh.K,) + (mesh.order - 1,) * mesh.ndim)
+
+    def close(got, ref):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    with use_backend(backend):
+        pop = PressureOperator(mesh)
+        close(pop.apply_div(u), _unfactored_div(pop, u))
+        close(pop.apply_div_t(p), _unfactored_div_t(pop, p))
+        close(pop.apply_e(p), _unfactored_div(pop, pop.apply_binv(_unfactored_div_t(pop, p))))
