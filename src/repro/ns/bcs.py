@@ -109,17 +109,17 @@ class VelocityBC:
         """Velocity ``(nd, K, n...)`` holding the Dirichlet data on
         constrained nodes (zero elsewhere) — the boundary lift ``u_b`` of
         the solves.  Each call returns a fresh array."""
+        return self.apply_to(np.zeros(()), t)
+
+    def apply_to(self, u: np.ndarray, t: float = 0.0) -> np.ndarray:
+        """Overwrite constrained nodes of the velocity ``u`` with the
+        Dirichlet data (into a fresh array; the cached data is not copied)."""
         if self._cache is None or (self.time_dependent and self._cache_t != t):
             fields = np.zeros((self.mesh.ndim,) + self.mesh.local_shape)
             for sd in self._sides.values():
                 fields = np.where(sd.mask, sd.evaluate(t), fields)
             self._cache, self._cache_t = fields, t
-        return self._cache.copy()
-
-    def apply_to(self, u: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """Overwrite constrained nodes of the velocity ``u`` with the
-        Dirichlet data."""
-        return np.where(self.mask.constrained, self.lift(t), u)
+        return np.where(self.mask.constrained, self._cache, u)
 
 
 class ScalarBC:

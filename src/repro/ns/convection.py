@@ -31,7 +31,26 @@ from ..core.quadrature import gll_points
 from ..core.tensor import grad_2d, grad_3d
 from ..perf.flops import add_flops
 
-__all__ = ["Convection", "courant_number"]
+__all__ = ["Convection", "courant_number", "physical_gradient"]
+
+
+def _contract(geom: GeomFactors, w: np.ndarray) -> np.ndarray:
+    """The ``(nd, K, n...)`` stack ``W_a = sum_c dxi_dx[a][c] w_c``."""
+    out = np.empty((geom.ndim,) + np.shape(w[0]))
+    for a, row in enumerate(geom.dxi_dx):
+        np.multiply(row[0], w[0], out=out[a])
+        for c in range(1, geom.ndim):
+            out[a] += row[c] * w[c]
+    return out
+
+
+def physical_gradient(d: np.ndarray, geom: GeomFactors, v: np.ndarray) -> List[np.ndarray]:
+    """Physical gradient ``(dv/dx, dv/dy[, dv/dz])`` of a scalar field, with
+    ``d`` the 1-D GLL derivative matrix."""
+    nd, x = geom.ndim, geom.dxi_dx
+    g = grad_2d(d, v) if nd == 2 else grad_3d(d, v)
+    add_flops((2 * nd - 1) * nd * v.size, "pointwise")
+    return [sum((x[a][c] * g[a] for a in range(1, nd)), x[0][c] * g[0]) for c in range(nd)]
 
 
 def courant_number(mesh: Mesh, geom: GeomFactors, u: np.ndarray, dt: float) -> float:
@@ -40,54 +59,49 @@ def courant_number(mesh: Mesh, geom: GeomFactors, u: np.ndarray, dt: float) -> f
     Computed in reference coordinates (velocity contracted with the metric,
     divided by the local GLL spacing), the standard SEM definition.
     """
-    x = gll_points(mesh.order)
-    dx_min = np.min(np.diff(x))
-    nd = mesh.ndim
-    speed = np.zeros(mesh.local_shape)
-    for a in range(nd):
-        u_ref = sum(geom.dxi_dx[a][c] * u[c] for c in range(nd))
-        speed = np.maximum(speed, np.abs(u_ref))
-    return float(dt * speed.max() / dx_min)
+    dx_min = np.min(np.diff(gll_points(mesh.order)))
+    return float(dt * np.abs(_contract(geom, u)).max() / dx_min)
 
 
 class Convection:
-    """Pointwise convection ``(u . grad) v`` and its OIFS sub-integrator."""
+    """Pointwise convection ``(u . grad) v`` and its OIFS sub-integrator, both
+    in reference coordinates: ``(w . grad) v = sum_a W_a dv/dxi_a`` with
+    ``W = contravariant(w)`` formed once per advecting field."""
 
     def __init__(self, mesh: Mesh, geom: GeomFactors, assembler: Assembler):
         self.mesh = mesh
         self.geom = geom
         self.assembler = assembler
         self.d = gll_derivative_matrix(mesh.order)
+        self._g = tuple(np.empty(mesh.local_shape) for _ in range(mesh.ndim))
 
     # ------------------------------------------------------------- operator
     def grad_phys(self, v: np.ndarray) -> List[np.ndarray]:
         """Physical gradient ``(dv/dx, dv/dy[, dv/dz])`` of a scalar field."""
+        return physical_gradient(self.d, self.geom, v)
+
+    def contravariant(self, w: np.ndarray) -> np.ndarray:
+        """Reference-coordinate velocity ``W_a = sum_c dxi_a/dx_c w_c``."""
         nd = self.mesh.ndim
-        g = grad_2d(self.d, v) if nd == 2 else grad_3d(self.d, v)
-        out = []
-        for c in range(nd):
-            acc = self.geom.dxi_dx[0][c] * g[0]
-            for a in range(1, nd):
-                acc += self.geom.dxi_dx[a][c] * g[a]
-            out.append(acc)
-        add_flops((2 * nd - 1) * nd * v.size, "pointwise")
-        return out
+        add_flops((2 * nd - 1) * nd * np.size(w[0]), "pointwise")
+        return _contract(self.geom, w)
 
     def advect(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``(w . grad) v`` pointwise on the GLL grid (collocated form), for
-        one field ``v`` or each field of a stack ``(m, K, n...)``.
+        one field ``v`` or each field of a stack ``(m, K, n...)``."""
+        return self._advect_ref(self.contravariant(w), v, np.empty(v.shape))
 
-        A stack runs one field at a time, which keeps each pass's working
-        set at one field's size.
-        """
-        nd = self.mesh.ndim
-        out = np.empty(v.shape)
+    def _advect_ref(self, wr: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``sum_a W_a dv/dxi_a`` into ``out``, one field at a time, which
+        keeps each pass's working set at one field's size."""
+        nd, g = self.mesh.ndim, self._g
         shape = (-1,) + self.mesh.local_shape
         for f, o in zip(v.reshape(shape), out.reshape(shape)):
-            g = self.grad_phys(f)
-            np.multiply(w[0], g[0], out=o)
-            for c in range(1, nd):
-                o += w[c] * g[c]
+            (grad_2d if nd == 2 else grad_3d)(self.d, f, outs=g)
+            np.multiply(wr[0], g[0], out=o)
+            for a in range(1, nd):
+                np.multiply(wr[a], g[a], out=g[a])
+                o += g[a]
         add_flops((2 * nd - 1) * v.size, "pointwise")
         return out
 
@@ -95,7 +109,7 @@ class Convection:
     def oifs_integrate(
         self,
         v0: np.ndarray,
-        w_of_t: Callable[[float], np.ndarray],
+        wr_of_t: Callable[[float], np.ndarray],
         t_start: float,
         t_end: float,
         n_steps: int,
@@ -104,8 +118,10 @@ class Convection:
         """Integrate ``dv/ds = -(w(s) . grad) v`` from ``t_start`` to ``t_end``.
 
         ``v0`` is a stack ``(m, K, n...)`` of fields (e.g. the velocity),
-        all advected together.  RK4 with ``n_steps`` substeps; ``w_of_t``
-        supplies the (time interpolated) advecting velocity.  After each
+        all advected together.  RK4 with ``n_steps`` substeps; ``wr_of_t(s)``
+        supplies the (time interpolated) advecting field in reference
+        coordinates, ``W(s) = contravariant(w(s))``, once per distinct stage
+        time (``t``, ``t + h/2``, ``t + h``), and is only read.  After each
         substep the fields are made C0 by averaging — the collocated
         convection operator is evaluated element-locally.
 
@@ -120,21 +136,33 @@ class Convection:
             raise ValueError("need at least one RK4 substep")
         h = (t_end - t_start) / n_steps
         v = np.array(v0, dtype=float)
+        # acc sums the slopes a = -k as ((a1 + 2 a2) + 2 a3) + a4; the RK
+        # multipliers carry the minus sign.
+        acc, k, arg = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+        w0 = wr_of_t(t_start)
         for s in range(n_steps):
             t = t_start + s * h
-            v = self.assembler.dsavg(self._rk4_step(v, w_of_t, t, h))
+            w_half, w1 = wr_of_t(t + 0.5 * h), wr_of_t(t + h)
+            self._advect_ref(w0, v, acc)
+            np.multiply(acc, -0.5 * h, out=arg)
+            arg += v
+            self._advect_ref(w_half, arg, k)
+            np.multiply(k, -0.5 * h, out=arg)
+            arg += v
+            k *= 2.0
+            acc += k
+            self._advect_ref(w_half, arg, k)
+            np.multiply(k, -h, out=arg)
+            arg += v
+            k *= 2.0
+            acc += k
+            self._advect_ref(w1, arg, k)
+            acc += k
+            acc *= -(h / 6.0)
+            acc += v
+            add_flops(9.0 * v.size, "pointwise")
+            v = self.assembler.dsavg(acc)
             if boundary_fix is not None:
                 v = boundary_fix(v, t + h)
+            w0 = w1
         return v
-
-    def _rk4_step(self, v, w_of_t, t, h):
-        def rhs(fields, tt):
-            return -self.advect(w_of_t(tt), fields)
-
-        k1 = rhs(v, t)
-        k2 = rhs(v + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(v + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(v + h * k3, t + h)
-        add_flops(9.0 * v.size, "pointwise")
-        return v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-

@@ -23,7 +23,7 @@ from ..core.basis import gll_derivative_matrix
 from ..core.element import GeomFactors
 from ..core.mesh import Mesh
 from ..core.quadrature import gll_weights
-from ..core.tensor import grad_2d, grad_3d
+from .convection import physical_gradient
 
 __all__ = ["FlowDiagnostics"]
 
@@ -46,12 +46,7 @@ class FlowDiagnostics:
 
     # --------------------------------------------------------------- volume
     def grad_phys(self, v: np.ndarray) -> List[np.ndarray]:
-        nd = self.mesh.ndim
-        g = grad_2d(self.d, v) if nd == 2 else grad_3d(self.d, v)
-        return [
-            sum(self.geom.dxi_dx[a][c] * g[a] for a in range(nd))
-            for c in range(nd)
-        ]
+        return physical_gradient(self.d, self.geom, v)
 
     def integrate(self, f: np.ndarray) -> float:
         return float(np.sum(self.geom.bm * f))

@@ -330,13 +330,13 @@ class NavierStokesSolver:
             rhs_time = np.zeros_like(self.u)
             if self.convection_mode == "oifs":
                 n_sub = max(1, int(np.ceil(max(cfl, 1e-12) / self.oifs_cfl_target)))
-                w_of_t = self._advecting_field_interpolant()
+                wr_of_t = self._advecting_field_interpolant()
                 # Through-flow Dirichlet boundaries feed data along incoming
                 # characteristics during the sub-integration.
                 bfix = self.bc.apply_to if self.mask.n_constrained else None
                 for q, bq in enumerate(betas[: len(self._u_hist)], start=1):
                     rhs_time += (bq / dt) * self.conv.oifs_integrate(
-                        self._u_hist[q - 1], w_of_t, self._t_hist[q - 1], t_new,
+                        self._u_hist[q - 1], wr_of_t, self._t_hist[q - 1], t_new,
                         n_steps=n_sub * q, boundary_fix=bfix,
                     )
             else:
@@ -454,17 +454,19 @@ class NavierStokesSolver:
     def _advecting_field_interpolant(self) -> Callable[[float], np.ndarray]:
         """Lagrange interpolation/extrapolation of the velocity history.
 
-        Supplies ``w(s)`` for the OIFS sub-integration: interpolating within
-        the known history window and extrapolating over the new interval
-        ``(t^{n-1}, t^n]`` — the operator-integration-factor construction.
+        Supplies ``W(s) = contravariant(w(s))`` for the OIFS sub-integration:
+        interpolating within the known history window and extrapolating over
+        the new interval ``(t^{n-1}, t^n]`` — the operator-integration-factor
+        construction.  ``W`` is linear in ``w``, so each level is contracted
+        with the metric once per step.
         """
-        fields = self._u_hist[: self.scheme]
+        levels = [self.conv.contravariant(u) for u in self._u_hist[: self.scheme]]
         times = self._t_hist[: self.scheme]
-        if len(fields) == 1:
-            w0 = fields[0]
+        if len(levels) == 1:
+            w0 = levels[0]
             return lambda s: w0
 
-        def w_of_t(s: float) -> np.ndarray:
+        def wr_of_t(s: float) -> np.ndarray:
             coeffs = []
             for i, ti in enumerate(times):
                 c = 1.0
@@ -472,6 +474,7 @@ class NavierStokesSolver:
                     if i != j:
                         c *= (s - tj) / (ti - tj)
                 coeffs.append(c)
-            return sum(ci * f for ci, f in zip(coeffs, fields))
+            return sum((ci * f for ci, f in zip(coeffs[1:], levels[1:])),
+                       coeffs[0] * levels[0])
 
-        return w_of_t
+        return wr_of_t

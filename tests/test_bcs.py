@@ -82,6 +82,22 @@ class TestVelocityBC:
         a[0][:] = 99.0  # caller-side mutation must not corrupt the cache
         assert np.all(bc.lift(0.0)[0] != 99.0)
 
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_written_results_never_reach_a_later_lift(self, time_dependent):
+        """``apply_to`` reads the cached lift without copying it; neither its
+        result nor ``lift``'s may alias that cache."""
+        m = box_mesh_2d(2, 2, 3)
+        inflow = (lambda x, y, t: 1.0 + t + 0 * y) if time_dependent else 1.0
+        bc = VelocityBC(m, {"xmin": (inflow, 0.0)})
+        expect = bc.lift(0.5)
+        u = np.zeros((2,) + m.local_shape)
+        bc.apply_to(u, 0.5)[:] = 99.0
+        bc.lift(0.5)[:] = 98.0
+        bc.apply_to(u, 0.5)[:] = 97.0
+        assert np.array_equal(bc.lift(0.5), expect)
+        assert np.array_equal(bc.apply_to(u, 0.5)[:, m.boundary["xmin"]],
+                              expect[:, m.boundary["xmin"]])
+
 
 class TestScalarBC:
     def test_lift_and_mask(self):

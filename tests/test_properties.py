@@ -263,7 +263,7 @@ def test_oifs_advection_is_linear_in_the_field(seed, a, b):
     w = [np.full(mesh.local_shape, 0.7), np.zeros(mesh.local_shape)]
     v1 = Asm(mesh.global_ids).dsavg(rng.standard_normal(mesh.local_shape))
     v2 = Asm(mesh.global_ids).dsavg(rng.standard_normal(mesh.local_shape))
-    w_of_t = lambda s: w  # noqa: E731
+    w_of_t = lambda s: conv.contravariant(w)  # noqa: E731
     o_lin = conv.oifs_integrate([a * v1 + b * v2], w_of_t, 0, 0.02, 8)[0]
     o1 = conv.oifs_integrate([v1], w_of_t, 0, 0.02, 8)[0]
     o2 = conv.oifs_integrate([v2], w_of_t, 0, 0.02, 8)[0]
