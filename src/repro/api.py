@@ -35,6 +35,7 @@ __all__ = [
     "RunSpec",
     "poisson_solver",
     "pmg_preconditioner",
+    "pressure_preconditioner",
     "stokes_solver",
     "navier_stokes_solver",
     "table2_case",
@@ -225,6 +226,47 @@ def pmg_preconditioner(mesh, h1: float = 1.0, h0: float = 0.0,
     return cache.get(
         ("pmg", mesh_signature(mesh), float(h1), float(h0), sides,
          config.pmg_smoother, config.pmg_coarse),
+        build,
+    )
+
+
+def pressure_preconditioner(mesh, pop, config: Optional[SolverConfig] = None,
+                            cache=None):
+    """The ``E``-system preconditioner a config selects, for ``pop``.
+
+    ``pressure_variant`` ``"fdm"`` / ``"fem"`` builds a
+    :class:`~repro.solvers.schwarz.SchwarzPreconditioner` with the config's
+    ``overlap`` and ``use_coarse``; ``"condensed"`` builds a
+    :class:`~repro.solvers.condensed.CondensedEPreconditioner` (zero
+    overlap, ``use_coarse`` honoured).  This is the one reader of those
+    three fields: the Navier-Stokes and Stokes steppers and the Table 2
+    case all come here.  With a :class:`~repro.service.FactorCache` the
+    preconditioner is built once per (mesh, velocity mask, variant,
+    overlap, use_coarse) and shared across all of them.
+    """
+    config = config if config is not None else SolverConfig()
+    variant = config.pressure_variant
+
+    def build():
+        if variant == "condensed":
+            from .solvers.condensed import CondensedEPreconditioner
+
+            return CondensedEPreconditioner(mesh, pop, use_coarse=config.use_coarse)
+        from .solvers.schwarz import SchwarzPreconditioner
+
+        return SchwarzPreconditioner(
+            mesh, pop, variant, overlap=config.overlap,
+            use_coarse=config.use_coarse,
+        )
+
+    if cache is None:
+        return build()
+    from .service.cache import array_signature, mesh_signature
+
+    return cache.get(
+        ("pressure_precond", mesh_signature(mesh),
+         array_signature(pop.vel_mask.constrained), variant, config.overlap,
+         config.use_coarse),
         build,
     )
 

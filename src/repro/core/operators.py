@@ -241,8 +241,10 @@ class SEMSystem:
     * ``rhs(f_local)``  — assemble + mask a local residual/forcing,
     * ``diagonal()``    — assembled diagonal for Jacobi preconditioning.
 
-    ``op_local`` must map local fields to local fields and be symmetric in
-    the unique-dof inner product (all operators in this module are).
+    ``op_local(u, out=None)`` must map local fields to local fields,
+    writing into ``out`` when one is given (``matvec`` passes a pooled
+    buffer), and be symmetric in the unique-dof inner product (every
+    operator ``apply`` in this module is).
     """
 
     mesh: Mesh
@@ -251,23 +253,9 @@ class SEMSystem:
     op_local: Callable[[np.ndarray], np.ndarray]
     op_diag_local: Optional[Callable[[], np.ndarray]] = None
     _ws: Workspace = field(default_factory=Workspace, repr=False)
-    _op_takes_out: Optional[bool] = field(default=None, repr=False)
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        # Route the local apply into a pooled buffer when the operator
-        # supports ``out=`` (all operators in this module do); the probe
-        # result is cached so generic callables pay one TypeError ever.
-        if self._op_takes_out is None:
-            try:
-                au = self.op_local(u, out=self._ws.get("au", u.shape))
-                self._op_takes_out = True
-            except TypeError:
-                au = self.op_local(u)
-                self._op_takes_out = False
-        elif self._op_takes_out:
-            au = self.op_local(u, out=self._ws.get("au", u.shape))
-        else:
-            au = self.op_local(u)
+        au = self.op_local(u, out=self._ws.get("au", u.shape))
         return self.mask.apply_inplace(self.assembler.dssum(au))
 
     def rhs(self, f_local: np.ndarray) -> np.ndarray:

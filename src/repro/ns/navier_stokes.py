@@ -20,25 +20,23 @@ in Fig. 8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..api import SolverConfig
-from ..core.assembly import Assembler
+from ..api import SolverConfig, pressure_preconditioner
+from ..core.assembly import Assembler, DirichletMask
 from ..core.element import geometric_factors
 from ..core.filters import FieldFilter
 from ..core.mesh import Mesh
-from ..core.operators import HelmholtzOperator, LaplaceOperator, MassOperator
+from ..core.operators import HelmholtzOperator, LaplaceOperator, MassOperator, SEMSystem
 from ..core.pressure import PressureOperator
 from ..obs.telemetry import record_projection
 from ..obs.trace import trace
 from ..perf.flops import add_flops
 from ..solvers.cg import SolveFailure, pcg
-from ..solvers.condensed import CondensedEPreconditioner
-from ..solvers.jacobi import JacobiPreconditioner
+from ..solvers.jacobi import jacobi_preconditioner
 from ..solvers.projection import SolutionProjector
-from ..solvers.schwarz import SchwarzPreconditioner
 from .bcs import VelocityBC
 from .convection import Convection, courant_number
 
@@ -54,6 +52,33 @@ BDF_COEFFS = {
 
 #: EXTk extrapolation coefficients for explicit terms.
 EXT_COEFFS = {1: [1.0], 2: [2.0, -1.0], 3: [3.0, -3.0, 1.0]}
+
+
+def flow_operators(mesh: Mesh, vel_mask: DirichletMask, cache=None):
+    """``(geom, assembler, pop)`` of a velocity mesh and its Dirichlet mask.
+
+    With a :class:`~repro.service.FactorCache` the geometric factors and
+    the assembler are built once per mesh, and the pressure operator once
+    per (mesh, velocity mask), shared by every stepper on that mesh.
+    """
+    if cache is None:
+        geom = geometric_factors(mesh)
+        assembler = Assembler.for_mesh(mesh)
+        return geom, assembler, PressureOperator(
+            mesh, vel_mask=vel_mask, assembler=assembler, geom=geom
+        )
+    from ..service.cache import array_signature, mesh_signature
+
+    sig = mesh_signature(mesh)
+    geom = cache.get(("geom", sig), lambda: geometric_factors(mesh))
+    assembler = cache.get(("assembler", sig), lambda: Assembler.for_mesh(mesh))
+    pop = cache.get(
+        ("pressure_operator", sig, array_signature(vel_mask.constrained)),
+        lambda: PressureOperator(
+            mesh, vel_mask=vel_mask, assembler=assembler, geom=geom
+        ),
+    )
+    return geom, assembler, pop
 
 
 @dataclass
@@ -96,10 +121,11 @@ class NavierStokesSolver:
     config:
         :class:`~repro.api.SolverConfig` supplying the solver-stack
         decisions: ``pressure_variant`` (Schwarz ``"fdm"``/``"fem"`` or the
-        zero-overlap ``"condensed"`` static-condensation tier),
-        ``projection_window`` (L for the successive-RHS pressure
-        projection, 0 disables; Fig. 4), ``pressure_tol``, and
-        ``helmholtz_tol``.
+        zero-overlap ``"condensed"`` static-condensation tier, with its
+        ``overlap`` and ``use_coarse``; see
+        :func:`~repro.api.pressure_preconditioner`), ``projection_window``
+        (L for the successive-RHS pressure projection, 0 disables; Fig. 4),
+        ``pressure_tol``, and ``helmholtz_tol``.
     cache:
         Optional :class:`~repro.service.FactorCache`; shares geometric
         factors, the assembler, the pressure operator, and the pressure
@@ -124,12 +150,10 @@ class NavierStokesSolver:
         cache=None,
         forcing: Optional[Callable] = None,
         oifs_cfl_target: float = 0.25,
-        coarse_dirichlet_vertices: Optional[np.ndarray] = None,
     ):
         config = config if config is not None else SolverConfig()
         self.config = config
         projection_window = config.projection_window
-        pressure_variant = config.pressure_variant
         if scheme not in (1, 2, 3):
             raise ValueError(f"scheme must be 1, 2 or 3, got {scheme}")
         if convection not in ("oifs", "ext", "none"):
@@ -143,53 +167,14 @@ class NavierStokesSolver:
         self.convection_mode = convection
         self.forcing = forcing
         self.oifs_cfl_target = float(oifs_cfl_target)
-        if cache is not None:
-            from ..service.cache import array_signature, mesh_signature
-
-            sig = mesh_signature(mesh)
-            self.geom = cache.get(("geom", sig), lambda: geometric_factors(mesh))
-            self.assembler = cache.get(
-                ("assembler", sig), lambda: Assembler.for_mesh(mesh)
-            )
-        else:
-            self.geom = geometric_factors(mesh)
-            self.assembler = Assembler.for_mesh(mesh)
         self.bc = bc if bc is not None else VelocityBC.no_slip_all(mesh)
         self.mask = self.bc.mask
+        self.geom, self.assembler, self.pop = flow_operators(mesh, self.mask, cache)
+        self.pressure_precond = pressure_preconditioner(mesh, self.pop, config, cache)
 
         self.mass = MassOperator(self.geom)
         self.laplace = LaplaceOperator(mesh, self.geom)
         self.conv = Convection(mesh, self.geom, self.assembler)
-
-        def build_pop():
-            return PressureOperator(
-                mesh, vel_mask=self.mask, assembler=self.assembler,
-                geom=self.geom,
-            )
-
-        def build_precond():
-            if pressure_variant == "condensed":
-                return CondensedEPreconditioner(
-                    mesh, self.pop, dirichlet_vertices=coarse_dirichlet_vertices
-                )
-            return SchwarzPreconditioner(
-                mesh, self.pop, variant=pressure_variant,
-                dirichlet_vertices=coarse_dirichlet_vertices,
-            )
-
-        if cache is not None:
-            mask_sig = array_signature(self.mask.constrained)
-            self.pop = cache.get(("pressure_operator", sig, mask_sig), build_pop)
-            self.pressure_precond = cache.get(
-                ("schwarz" if pressure_variant != "condensed"
-                 else "condensed_precond",
-                 sig, mask_sig, pressure_variant, 1, True,
-                 array_signature(coarse_dirichlet_vertices)),
-                build_precond,
-            )
-        else:
-            self.pop = build_pop()
-            self.pressure_precond = build_precond()
         self.pressure_tol = float(config.pressure_tol)
         self.helmholtz_tol = float(config.helmholtz_tol)
         self.projector = (
@@ -203,14 +188,8 @@ class NavierStokesSolver:
             else None
         )
 
-        # Helmholtz operators per BDF order (h0 changes with beta0).
-        self._helmholtz: Dict[int, HelmholtzOperator] = {}
-        self._helmholtz_diag: Dict[int, np.ndarray] = {}
-
-        # Scratch for the Helmholtz CG matvec: the local operator apply lands
-        # in this buffer every iteration (dssum then produces the fresh
-        # assembled result), so the inner solves do not allocate per apply.
-        self._helm_out = np.empty(mesh.local_shape)
+        # Helmholtz systems per BDF order (h0 changes with beta0).
+        self._helmholtz: Dict[int, Tuple[SEMSystem, Callable]] = {}
 
         # State.  Velocity-shaped arrays are (nd, K, n...) stacks.
         self.t = 0.0
@@ -223,18 +202,17 @@ class NavierStokesSolver:
         self.stats: List[StepStats] = []
 
     # ------------------------------------------------------------ setup bits
-    def _helmholtz_for(self, order: int) -> HelmholtzOperator:
-        """The velocity Helmholtz operator of BDF ``order``, shared by all
-        components (built, with its assembled diagonal, on first use)."""
+    def _helmholtz_for(self, order: int) -> Tuple[SEMSystem, Callable]:
+        """The velocity Helmholtz system of BDF ``order`` and its Jacobi
+        preconditioner, shared by all components (built on first use)."""
         if order not in self._helmholtz:
             beta0, _ = BDF_COEFFS[order]
             op = HelmholtzOperator(
                 self.mesh, h1=1.0 / self.re, h0=beta0 / self.dt, geom=self.geom
             )
-            self._helmholtz[order] = op
-            dia = self.assembler.dssum(op.diagonal())
-            dia = self.mask.apply(dia) + self.mask.constrained.astype(float)
-            self._helmholtz_diag[order] = dia
+            system = SEMSystem(self.mesh, self.assembler, self.mask, op.apply,
+                               op.diagonal)
+            self._helmholtz[order] = (system, jacobi_preconditioner(system))
         return self._helmholtz[order]
 
     def _velocity(self, comps: Sequence, what: str, shape=None) -> np.ndarray:
@@ -358,21 +336,17 @@ class NavierStokesSolver:
             u_bound = self.bc.lift(t_new)
             u_star = np.empty_like(u_bound)
             h_iters: List[int] = []
-            helm = self._helmholtz_for(order)
-            precond = JacobiPreconditioner(self._helmholtz_diag[order])
+            system, precond = self._helmholtz_for(order)
             for c in range(nd):
-                rhs_local = self.mass.apply(rhs_time[c]) + grad_p[c] - helm.apply(u_bound[c])
-                b = self.mask.apply(self.assembler.dssum(rhs_local))
-                x0 = self.mask.apply(self.u[c] - u_bound[c])
+                rhs_local = (self.mass.apply(rhs_time[c]) + grad_p[c]
+                             - system.op_local(u_bound[c]))
                 label = f"helmholtz_u{c}"
                 res = pcg(
-                    lambda v: self.mask.apply(
-                        self.assembler.dssum(helm.apply(v, out=self._helm_out))
-                    ),
-                    b,
-                    dot=self.assembler.dot,
+                    system.matvec,
+                    system.rhs(rhs_local),
+                    dot=system.dot,
                     precond=precond,
-                    x0=x0,
+                    x0=self.mask.apply(self.u[c] - u_bound[c]),
                     tol=0.0,
                     rtol=self.helmholtz_tol,
                     maxiter=2000,

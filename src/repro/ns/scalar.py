@@ -21,10 +21,10 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.operators import HelmholtzOperator
+from ..core.operators import HelmholtzOperator, SEMSystem
 from ..obs.trace import trace
 from ..solvers.cg import SolveFailure, pcg
-from ..solvers.jacobi import JacobiPreconditioner
+from ..solvers.jacobi import jacobi_preconditioner
 from .bcs import ScalarBC
 from .navier_stokes import BDF_COEFFS, EXT_COEFFS, NavierStokesSolver
 
@@ -67,7 +67,6 @@ class ScalarTransport:
         self._hist: List[np.ndarray] = []
         self._adv_hist: List[np.ndarray] = []
         self._helmholtz = {}
-        self._diag = {}
         self.iterations: List[int] = []
 
     def set_initial_condition(self, T0) -> None:
@@ -80,7 +79,9 @@ class ScalarTransport:
         self._hist = []
         self._adv_hist = []
 
-    def _helm_for(self, order: int) -> HelmholtzOperator:
+    def _helm_for(self, order: int):
+        """The scalar Helmholtz system of BDF ``order`` and its Jacobi
+        preconditioner (built on first use)."""
         if order not in self._helmholtz:
             beta0, _ = BDF_COEFFS[order]
             op = HelmholtzOperator(
@@ -89,10 +90,9 @@ class ScalarTransport:
                 h0=beta0 / self.flow.dt,
                 geom=self.flow.geom,
             )
-            self._helmholtz[order] = op
-            dia = self.flow.assembler.dssum(op.diagonal())
-            dia = self.bc.mask.apply(dia) + self.bc.mask.constrained.astype(float)
-            self._diag[order] = dia
+            system = SEMSystem(self.mesh, self.flow.assembler, self.bc.mask,
+                               op.apply, op.diagonal)
+            self._helmholtz[order] = (system, jacobi_preconditioner(system))
         return self._helmholtz[order]
 
     def step(self) -> int:
@@ -127,16 +127,14 @@ class ScalarTransport:
                 self.mesh.local_shape,
             )
 
-        helm = self._helm_for(order)
+        system, precond = self._helm_for(order)
         t_bound = self.bc.lift(flow.t)
-        rhs_local = flow.mass.apply(rhs) - helm.apply(t_bound)
-        b = self.bc.mask.apply(flow.assembler.dssum(rhs_local))
-        precond = JacobiPreconditioner(self._diag[order])
+        rhs_local = flow.mass.apply(rhs) - system.op_local(t_bound)
         with trace("scalar"):
             res = pcg(
-                lambda v: self.bc.mask.apply(flow.assembler.dssum(helm.apply(v))),
-                b,
-                dot=flow.assembler.dot,
+                system.matvec,
+                system.rhs(rhs_local),
+                dot=system.dot,
                 precond=precond,
                 x0=self.bc.mask.apply(self.T - t_bound),
                 tol=0.0,

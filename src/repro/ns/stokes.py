@@ -22,18 +22,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..api import SolverConfig
-from ..core.assembly import Assembler
-from ..core.element import geometric_factors
+from ..api import SolverConfig, pressure_preconditioner
 from ..core.mesh import Mesh
-from ..core.operators import HelmholtzOperator, MassOperator
-from ..core.pressure import PressureOperator
+from ..core.operators import HelmholtzOperator, MassOperator, SEMSystem
 from ..obs.trace import trace
 from ..solvers.cg import SolveFailure, pcg
-from ..solvers.condensed import CondensedEPreconditioner
-from ..solvers.jacobi import JacobiPreconditioner
-from ..solvers.schwarz import SchwarzPreconditioner
+from ..solvers.jacobi import jacobi_preconditioner
 from .bcs import VelocityBC
+from .navier_stokes import flow_operators
 
 __all__ = ["StokesSolver", "StokesResult"]
 
@@ -62,7 +58,9 @@ class StokesSolver:
     config:
         :class:`~repro.api.SolverConfig` supplying the pressure
         preconditioner tier (``pressure_variant``: Schwarz ``"fdm"``/
-        ``"fem"`` or the zero-overlap ``"condensed"`` local solves) and the
+        ``"fem"`` or the zero-overlap ``"condensed"`` local solves, with
+        ``overlap`` and ``use_coarse``; see
+        :func:`~repro.api.pressure_preconditioner`) and the
         nested/outer tolerances (``velocity_tol``, ``pressure_tol``,
         ``maxiter``).  The inner solves must be substantially tighter than
         the outer ones (inexact Uzawa otherwise stalls CG).
@@ -87,62 +85,17 @@ class StokesSolver:
         self.config = config
         self.mesh = mesh
         self.re = float(re)
-        if cache is not None:
-            from ..service.cache import mesh_signature
-
-            sig = mesh_signature(mesh)
-            self.geom = cache.get(("geom", sig), lambda: geometric_factors(mesh))
-            self.assembler = cache.get(
-                ("assembler", sig), lambda: Assembler.for_mesh(mesh)
-            )
-        else:
-            self.geom = geometric_factors(mesh)
-            self.assembler = Assembler.for_mesh(mesh)
         self.bc = bc if bc is not None else VelocityBC.no_slip_all(mesh)
         self.mask = self.bc.mask
+        self.geom, self.assembler, self.pop = flow_operators(mesh, self.mask, cache)
+        self.precond = pressure_preconditioner(mesh, self.pop, config, cache)
         self.mass = MassOperator(self.geom)
         # Pure viscous operator (h0 = 0): A is singular only if nothing is
         # constrained, which no-slip precludes.
-        self.visc = HelmholtzOperator(mesh, h1=1.0 / self.re, h0=0.0, geom=self.geom)
-        dia = self.assembler.dssum(self.visc.diagonal())
-        dia = self.mask.apply(dia) + self.mask.constrained.astype(float)
-        self._vel_precond = JacobiPreconditioner(dia)
-        pressure_variant = config.pressure_variant
-        if cache is not None:
-            from ..service.cache import array_signature, mesh_signature
-
-            sig = mesh_signature(mesh)
-            mask_sig = array_signature(self.mask.constrained)
-            self.pop = cache.get(
-                ("pressure_operator", sig, mask_sig),
-                lambda: PressureOperator(
-                    mesh, vel_mask=self.mask, assembler=self.assembler,
-                    geom=self.geom,
-                ),
-            )
-            if pressure_variant == "condensed":
-                self.precond = cache.get(
-                    ("condensed_precond", sig, mask_sig, True),
-                    lambda: CondensedEPreconditioner(mesh, self.pop),
-                )
-            else:
-                self.precond = cache.get(
-                    ("schwarz", sig, mask_sig, pressure_variant,
-                     config.overlap, True, "none"),
-                    lambda: SchwarzPreconditioner(
-                        mesh, self.pop, variant=pressure_variant
-                    ),
-                )
-        else:
-            self.pop = PressureOperator(
-                mesh, vel_mask=self.mask, assembler=self.assembler, geom=self.geom
-            )
-            if pressure_variant == "condensed":
-                self.precond = CondensedEPreconditioner(mesh, self.pop)
-            else:
-                self.precond = SchwarzPreconditioner(
-                    mesh, self.pop, variant=pressure_variant
-                )
+        visc = HelmholtzOperator(mesh, h1=1.0 / self.re, h0=0.0, geom=self.geom)
+        self._vel_system = SEMSystem(mesh, self.assembler, self.mask, visc.apply,
+                                     visc.diagonal)
+        self._vel_precond = jacobi_preconditioner(self._vel_system)
         self.velocity_tol = float(config.velocity_tol)
         self.pressure_tol = float(config.pressure_tol)
         self.maxiter = int(config.maxiter)
@@ -152,16 +105,15 @@ class StokesSolver:
     def _solve_velocity(self, rhs_local: np.ndarray, lift: np.ndarray) -> np.ndarray:
         """Component solves ``(1/Re) A u_c = rhs_c`` with boundary lift
         (velocity stacks in and out)."""
+        system = self._vel_system
         u = np.empty_like(lift)
         for c in range(self.mesh.ndim):
-            b = self.mask.apply(
-                self.assembler.dssum(rhs_local[c] - self.visc.apply(lift[c]))
-            )
+            b = system.rhs(rhs_local[c] - system.op_local(lift[c]))
             with trace("velocity"):
                 res = pcg(
-                    lambda v: self.mask.apply(self.assembler.dssum(self.visc.apply(v))),
+                    system.matvec,
                     b,
-                    dot=self.assembler.dot,
+                    dot=system.dot,
                     precond=self._vel_precond,
                     tol=0.0,
                     rtol=self.velocity_tol,

@@ -315,7 +315,6 @@ class CondensedEPreconditioner:
         mesh: Mesh,
         pop: PressureOperator,
         use_coarse: bool = True,
-        dirichlet_vertices: Optional[np.ndarray] = None,
     ):
         if pop.m < 3:
             raise ValueError(
@@ -324,9 +323,7 @@ class CondensedEPreconditioner:
             )
         self.mesh = mesh
         self.pop = pop
-        self.coarse = (
-            CoarseOperator(mesh, pop, dirichlet_vertices) if use_coarse else None
-        )
+        self.coarse = CoarseOperator(mesh, pop) if use_coarse else None
         nd = mesh.ndim
         m = pop.m
         K = mesh.K

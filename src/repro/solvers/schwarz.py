@@ -275,9 +275,6 @@ class SchwarzPreconditioner:
     use_coarse:
         Include the ``R_0^T A_0^{-1} R_0`` term (``A_0 = 0`` in Table 2
         corresponds to ``use_coarse=False``).
-    weighted:
-        Counting weights ``C^{-1/2} (sum_k ...) C^{-1/2}`` for the FEM
-        variant (default on; no effect on the fdm variant).
     dirichlet_vertices:
         Passed to :class:`repro.solvers.coarse.CoarseOperator`.
     """
@@ -289,7 +286,6 @@ class SchwarzPreconditioner:
         variant: str = "fdm",
         overlap: int = 1,
         use_coarse: bool = True,
-        weighted: bool = True,
         dirichlet_vertices: Optional[np.ndarray] = None,
     ):
         if variant not in ("fdm", "fem"):
@@ -305,7 +301,8 @@ class SchwarzPreconditioner:
         self.pop = pop
         self.variant = variant
         self.overlap = overlap
-        self.weighted = weighted and variant == "fem"
+        #: counting weights ``C^{-1/2} (sum_k ...) C^{-1/2}`` (fem only)
+        self.weighted = variant == "fem"
         self.coarse = (
             CoarseOperator(mesh, pop, dirichlet_vertices) if use_coarse else None
         )

@@ -24,12 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..api import SolverConfig
+from ..api import SolverConfig, pressure_preconditioner
 from ..core.mesh import Mesh, box_mesh_2d, map_mesh
 from ..core.pressure import PressureOperator
 from ..solvers.cg import pcg
-from ..solvers.condensed import CondensedEPreconditioner
-from ..solvers.schwarz import SchwarzPreconditioner
 
 __all__ = ["cylinder_mesh", "Table2Case", "Table2Result", "TABLE2_LEVELS"]
 
@@ -103,13 +101,13 @@ class Table2Case:
                 ("cylinder_mesh", int(level), int(order)),
                 lambda: cylinder_mesh(level, order),
             )
-            self._mesh_sig = mesh_signature(self.mesh)
+            sig = mesh_signature(self.mesh)
             self.pop = cache.get(
-                ("table2_pop", self._mesh_sig),
+                ("table2_pop", sig),
                 lambda: PressureOperator(self.mesh),
             )
             self.rhs = cache.get(
-                ("table2_rhs", self._mesh_sig),
+                ("table2_rhs", sig),
                 lambda: self._build_rhs(),
             )
             return
@@ -133,27 +131,10 @@ class Table2Case:
         g -= np.sum(g) / g.size
         return g
 
-    def _build_precond(self, config: SolverConfig):
-        if config.pressure_variant == "condensed":
-            return CondensedEPreconditioner(
-                self.mesh, self.pop, use_coarse=config.use_coarse
-            )
-        return SchwarzPreconditioner(
-            self.mesh, self.pop, variant=config.pressure_variant,
-            overlap=config.overlap, use_coarse=config.use_coarse,
-        )
-
     def run(self, config: Optional[SolverConfig] = None) -> Table2Result:
         config = config if config is not None else SolverConfig()
         t0 = time.perf_counter()
-        if self._cache is not None:
-            precond = self._cache.get(
-                ("table2_precond", self._mesh_sig, config.pressure_variant,
-                 config.overlap, config.use_coarse),
-                lambda: self._build_precond(config),
-            )
-        else:
-            precond = self._build_precond(config)
+        precond = pressure_preconditioner(self.mesh, self.pop, config, self._cache)
         t_setup = time.perf_counter() - t0
         rhs_norm = float(np.linalg.norm(self.rhs.ravel()))
         t0 = time.perf_counter()
@@ -189,15 +170,7 @@ class Table2Case:
         cross-request reuse path of the service's projector pool.
         """
         config = config if config is not None else SolverConfig()
-        precond = (
-            self._cache.get(
-                ("table2_precond", self._mesh_sig, config.pressure_variant,
-                 config.overlap, config.use_coarse),
-                lambda: self._build_precond(config),
-            )
-            if self._cache is not None
-            else self._build_precond(config)
-        )
+        precond = pressure_preconditioner(self.mesh, self.pop, config, self._cache)
         rhs_norm = float(np.linalg.norm(self.rhs.ravel()))
         if projector is not None:
             x_bar, b = projector.start(self.rhs)

@@ -121,6 +121,29 @@ class TestResolveConfig:
                                bc=VelocityBC.none(mesh),
                                config=SolverConfig(projection_window=5))
 
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("stepper", ["navier_stokes", "stokes"])
+    def test_steppers_honour_overlap_and_use_coarse(self, stepper, cached):
+        from repro import NavierStokesSolver, StokesSolver, box_mesh_2d
+        from repro.service import FactorCache
+
+        def precond(config, cache):
+            if stepper == "stokes":
+                return StokesSolver(mesh, config=config, cache=cache).precond
+            return NavierStokesSolver(mesh, re=10.0, dt=0.01, config=config,
+                                      cache=cache).pressure_precond
+
+        mesh = box_mesh_2d(4, 4, 6)
+        cache = FactorCache() if cached else None
+        cfg = SolverConfig(pressure_variant="fem", overlap=3, use_coarse=False)
+        pc = precond(cfg, cache)
+        assert pc.overlap == 3
+        assert pc.coarse is None
+        if cached:
+            assert precond(cfg, cache) is pc
+            other = precond(cfg.replace(overlap=1), cache)
+            assert other is not pc and other.overlap == 1
+
 
 # ---------------------------------------------------------------------------
 # Facade constructors

@@ -145,11 +145,15 @@ class TestFactorCache:
         assert cache._building == {}
         assert cache.get("shared", lambda: 42) == 42
 
-    def test_stokes_and_navier_stokes_share_one_geometry(self, monkeypatch):
-        """Both steppers key geometry and the pressure operator alike, so
-        one mesh through one cache builds each of them once."""
+    @pytest.mark.parametrize("variant", ["fdm", "condensed"])
+    def test_stokes_and_navier_stokes_share_one_geometry(self, monkeypatch,
+                                                          variant):
+        """Both steppers key geometry, the pressure operator and the
+        pressure preconditioner alike, so one mesh through one cache
+        builds each of them once."""
         import repro.ns.navier_stokes as ns_mod
         import repro.ns.stokes as stokes_mod
+        from repro.api import SolverConfig
         from repro.core.element import geometric_factors
 
         built = []
@@ -159,16 +163,19 @@ class TestFactorCache:
             return geometric_factors(mesh, **kw)
 
         monkeypatch.setattr(ns_mod, "geometric_factors", counting)
-        monkeypatch.setattr(stokes_mod, "geometric_factors", counting)
         mesh = box_mesh_2d(2, 2, 4)
         cache = FactorCache()
-        stokes = stokes_mod.StokesSolver(mesh, cache=cache)
-        ns = ns_mod.NavierStokesSolver(mesh, re=10.0, dt=0.01, cache=cache)
+        config = SolverConfig(pressure_variant=variant)
+        stokes = stokes_mod.StokesSolver(mesh, config=config, cache=cache)
+        ns = ns_mod.NavierStokesSolver(mesh, re=10.0, dt=0.01, config=config,
+                                       cache=cache)
         assert len(built) == 1
         assert ns.geom is stokes.geom and ns.pop is stokes.pop
+        assert ns.pressure_precond is stokes.precond
         kinds = [k[0] for k in cache.keys()]
         assert kinds.count("geom") == 1
         assert kinds.count("pressure_operator") == 1
+        assert kinds.count("pressure_precond") == 1
 
     def test_as_dict_shape(self):
         d = FactorCache().as_dict()
