@@ -1,4 +1,4 @@
-"""Condensed elliptic tier: flop-exponent sweep + Table 2 parity runs.
+"""Condensed elliptic tier: flop-exponent sweeps.
 
 Two measurements back the tier's headline claim (Huismann-style linear
 operation count on the statically condensed interface system):
@@ -17,11 +17,6 @@ operation count on the statically condensed interface system):
    gap is the reason the 3-D tier evaluates the Schur complement through
    batched 1-D contractions instead of forming it.
 
-3. **Table 2 sequence** — the K = 96 -> 384 -> 1536 cylinder refinement
-   at N = 7, run with the condensed E-preconditioner tier and with the
-   Schwarz/FDM baseline: iteration counts, setup/solve wall times, and
-   (at level 0) tight-tolerance solution parity between the two tiers.
-
 Results land in ``BENCH_condensed_solver.json`` at the repo root so the
 tier's cost trajectory is machine-readable PR over PR.
 """
@@ -36,14 +31,10 @@ import numpy as np
 import pytest
 
 from conftest import fmt_table, write_result
-from repro.api import SolverConfig
 from repro.core.mesh import box_mesh_2d, box_mesh_3d
 from repro.core.pressure import PressureOperator
 from repro.perf.flops import counting
-from repro.solvers.cg import pcg
-from repro.solvers.condensed import CondensedEPreconditioner, CondensedPoissonSolver
-from repro.solvers.schwarz import SchwarzPreconditioner
-from repro.workloads.cylinder_model import Table2Case
+from repro.solvers.condensed import CondensedPoissonSolver
 
 JSON_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_condensed_solver.json"
 
@@ -53,9 +44,6 @@ SWEEP_NS = [4, 6, 8, 10, 12, 16]
 #: Polynomial orders for the 3-D Schur-apply sweep (d = 3; the dense
 #: shell apply at N = 12 already runs 1.5 Mflop/element).
 SWEEP_NS_3D = [4, 6, 8, 10, 12]
-
-#: Cylinder refinement levels benchmarked (K = 96, 384, 1536 at N = 7).
-TABLE2_LEVELS = [0, 1, 2]
 
 
 def _fit_slope(ns, per_elem):
@@ -146,56 +134,8 @@ def sweep3d():
     }
 
 
-@pytest.fixture(scope="module")
-def table2():
-    """Iterations and wall times for condensed vs Schwarz/FDM on the
-    Table 2 cylinder sequence, plus level-0 solution parity."""
-    rows = []
-    parity = None
-    for level in TABLE2_LEVELS:
-        case = Table2Case(level, 7)
-        cond = case.run(SolverConfig(pressure_variant="condensed"))
-        fdm = case.run(SolverConfig(pressure_variant="fdm", overlap=0))
-        rows.append(
-            {
-                "level": level,
-                "K": case.mesh.K,
-                "condensed_iterations": cond.iterations,
-                "fdm_iterations": fdm.iterations,
-                "condensed_setup_seconds": cond.setup_seconds,
-                "fdm_setup_seconds": fdm.setup_seconds,
-                "condensed_solve_seconds": cond.cpu_seconds,
-                "fdm_solve_seconds": fdm.cpu_seconds,
-                "condensed_converged": cond.converged,
-                "fdm_converged": fdm.converged,
-            }
-        )
-        if level == 0:
-            # Both tiers precondition the same SPD system: at a tight
-            # tolerance the solutions must coincide up to the nullspace.
-            sols = {}
-            for variant, precond in (
-                ("condensed", CondensedEPreconditioner(case.mesh, case.pop)),
-                ("fdm", SchwarzPreconditioner(case.mesh, case.pop, variant="fdm")),
-            ):
-                res = pcg(
-                    case.pop.matvec,
-                    case.rhs,
-                    dot=case.pop.dot,
-                    precond=precond,
-                    tol=1e-10 * float(np.linalg.norm(case.rhs.ravel())),
-                    maxiter=4000,
-                )
-                sols[variant] = res.x - np.sum(res.x) / res.x.size
-            diff = float(np.linalg.norm(sols["condensed"] - sols["fdm"]))
-            scale = float(np.linalg.norm(sols["fdm"]))
-            parity = {"rel_error": diff / scale, "tol": 1e-10}
-    return {"order": 7, "rows": rows, "level0_parity": parity}
-
-
-def test_generate_condensed_bench(benchmark, sweep, sweep3d, table2):
-    doc = {"exponent_sweep": sweep, "exponent_sweep_3d": sweep3d,
-           "table2": table2}
+def test_generate_condensed_bench(benchmark, sweep, sweep3d):
+    doc = {"exponent_sweep": sweep, "exponent_sweep_3d": sweep3d}
 
     rows = [
         [
@@ -229,20 +169,6 @@ def test_generate_condensed_bench(benchmark, sweep, sweep3d, table2):
         rows3d,
         title="Factorized vs dense 3-D Schur apply (K = 1)",
     )
-    text += "\n" + fmt_table(
-        ["K", "condensed its", "fdm its", "condensed solve s", "fdm solve s"],
-        [
-            [
-                r["K"],
-                r["condensed_iterations"],
-                r["fdm_iterations"],
-                f"{r['condensed_solve_seconds']:.3f}",
-                f"{r['fdm_solve_seconds']:.3f}",
-            ]
-            for r in table2["rows"]
-        ],
-        title="Table 2 cylinder sequence, N = 7, eps = 1e-5",
-    )
     write_result("condensed_solver", text)
     JSON_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -263,16 +189,11 @@ def test_generate_condensed_bench(benchmark, sweep, sweep3d, table2):
     # dense shell apply the squared ~6N^2 shell.
     assert sweep3d["tensor_slope"] <= 3.3, sweep3d
     assert sweep3d["dense_slope"] >= 3.5, sweep3d
-    for r in table2["rows"]:
-        assert r["condensed_converged"] and r["fdm_converged"], r
-    assert table2["level0_parity"]["rel_error"] < 1e-7, table2["level0_parity"]
 
 
-def test_json_is_machine_readable(sweep, sweep3d, table2):
-    doc = {"exponent_sweep": sweep, "exponent_sweep_3d": sweep3d,
-           "table2": table2}
+def test_json_is_machine_readable(sweep, sweep3d):
+    doc = {"exponent_sweep": sweep, "exponent_sweep_3d": sweep3d}
     JSON_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     loaded = json.loads(JSON_PATH.read_text())
     assert [r["N"] for r in loaded["exponent_sweep"]["rows"]] == SWEEP_NS
     assert [r["N"] for r in loaded["exponent_sweep_3d"]["rows"]] == SWEEP_NS_3D
-    assert [r["K"] for r in loaded["table2"]["rows"]] == [96, 384, 1536]

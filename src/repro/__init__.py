@@ -71,7 +71,6 @@ from .ns.scalar import BoussinesqCoupling, ScalarTransport
 from .ns.stokes import StokesResult, StokesSolver
 from .solvers.cg import CGResult, pcg
 from .solvers.condensed import (
-    CondensedEPreconditioner,
     CondensedPoissonSolver,
     CondensedResult,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "Assembler",
     "BoussinesqCoupling",
     "CGResult",
-    "CondensedEPreconditioner",
     "CondensedPoissonSolver",
     "CondensedResult",
     "DirichletMask",

@@ -51,7 +51,8 @@ class SolverConfig:
     per-constructor defaults exactly.
     """
 
-    #: pressure local-solve tier: "fdm" / "fem" Schwarz or "condensed".
+    #: pressure local-solve tier: "fdm" / "fem" Schwarz, or "condensed"
+    #: (the zero-overlap fdm tier; ``overlap`` is ignored).
     pressure_variant: str = "fdm"
     #: Schwarz gridpoint overlap N_o (fem study: 0/1/3).
     overlap: int = 1
@@ -69,8 +70,7 @@ class SolverConfig:
     velocity_tol: float = 1e-11
     #: successive-RHS projection window L (0 disables; Fig. 4).
     projection_window: int = 20
-    #: p-MG smoother: "jacobi", "chebyshev", or "condensed"
-    #: (Chebyshev-accelerated exact condensed element solves).
+    #: p-MG smoother: "jacobi" or "chebyshev".
     pmg_smoother: str = "jacobi"
     #: p-MG coarsest-level solve: "cg" (Jacobi-PCG) or "condensed"
     #: (interface-only condensed PCG; needs coarsest order >= 2).
@@ -81,6 +81,15 @@ class SolverConfig:
             raise ValueError(
                 f"unknown pressure_variant {self.pressure_variant!r}; "
                 "use 'fdm', 'fem' or 'condensed'"
+            )
+        if self.pmg_smoother not in ("jacobi", "chebyshev"):
+            raise ValueError(
+                f"unknown pmg_smoother {self.pmg_smoother!r}; "
+                "use 'jacobi' or 'chebyshev'"
+            )
+        if self.pmg_coarse not in ("cg", "condensed"):
+            raise ValueError(
+                f"unknown pmg_coarse {self.pmg_coarse!r}; use 'cg' or 'condensed'"
             )
 
     def replace(self, **changes) -> "SolverConfig":
@@ -204,9 +213,7 @@ def pmg_preconditioner(mesh, h1: float = 1.0, h0: float = 0.0,
     from .solvers.pmultigrid import PMultigrid, build_p_hierarchy
 
     config = config if config is not None else SolverConfig()
-    min_order = 2 if (
-        config.pmg_coarse == "condensed" or config.pmg_smoother == "condensed"
-    ) else 1
+    min_order = 2 if config.pmg_coarse == "condensed" else 1
 
     def build():
         levels = build_p_hierarchy(
@@ -234,29 +241,27 @@ def pressure_preconditioner(mesh, pop, config: Optional[SolverConfig] = None,
                             cache=None):
     """The ``E``-system preconditioner a config selects, for ``pop``.
 
-    ``pressure_variant`` ``"fdm"`` / ``"fem"`` builds a
-    :class:`~repro.solvers.schwarz.SchwarzPreconditioner` with the config's
-    ``overlap`` and ``use_coarse``; ``"condensed"`` builds a
-    :class:`~repro.solvers.condensed.CondensedEPreconditioner` (zero
-    overlap, ``use_coarse`` honoured).  This is the one reader of those
-    three fields: the Navier-Stokes and Stokes steppers and the Table 2
-    case all come here.  With a :class:`~repro.service.FactorCache` the
-    preconditioner is built once per (mesh, velocity mask, variant,
-    overlap, use_coarse) and shared across all of them.
+    Always a :class:`~repro.solvers.schwarz.SchwarzPreconditioner` with
+    the config's ``pressure_variant`` (``"fdm"`` / ``"fem"``), ``overlap``
+    and ``use_coarse``.  ``"condensed"`` is resolved to ``"fdm"`` with
+    zero overlap first: condensing the zero-overlap FDM block gives the
+    block's own inverse, so both spellings share one preconditioner.  This
+    is the one reader of those three fields: the Navier-Stokes and Stokes
+    steppers and the Table 2 case all come here.  With a
+    :class:`~repro.service.FactorCache` the preconditioner is built once
+    per (mesh, velocity mask, variant, overlap, use_coarse) and shared
+    across all of them.
     """
+    from .solvers.schwarz import SchwarzPreconditioner
+
     config = config if config is not None else SolverConfig()
-    variant = config.pressure_variant
+    variant, overlap = config.pressure_variant, config.overlap
+    if variant == "condensed":
+        variant, overlap = "fdm", 0
 
     def build():
-        if variant == "condensed":
-            from .solvers.condensed import CondensedEPreconditioner
-
-            return CondensedEPreconditioner(mesh, pop, use_coarse=config.use_coarse)
-        from .solvers.schwarz import SchwarzPreconditioner
-
         return SchwarzPreconditioner(
-            mesh, pop, variant, overlap=config.overlap,
-            use_coarse=config.use_coarse,
+            mesh, pop, variant, overlap=overlap, use_coarse=config.use_coarse
         )
 
     if cache is None:
@@ -265,7 +270,7 @@ def pressure_preconditioner(mesh, pop, config: Optional[SolverConfig] = None,
 
     return cache.get(
         ("pressure_precond", mesh_signature(mesh),
-         array_signature(pop.vel_mask.constrained), variant, config.overlap,
+         array_signature(pop.vel_mask.constrained), variant, overlap,
          config.use_coarse),
         build,
     )

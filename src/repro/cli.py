@@ -11,7 +11,7 @@
     python -m repro report [--steps N]# traced shear-layer run -> JSON report
     python -m repro spmd --executor mp --ranks 4   # distributed CG, real procs
     python -m repro sweep --runs 24                # many-run service, shared cache
-    python -m repro pmg --smoother condensed       # p-MG smoother/coarse tiers
+    python -m repro pmg --coarse condensed         # p-MG smoother/coarse tiers
     python -m repro serve < specs.jsonl            # JSON-lines run service
 
 Every subcommand accepts a global ``--backend NAME`` selecting the kernel
@@ -329,7 +329,7 @@ def _table2_configs():
         ("FEM No=0", SolverConfig(pressure_variant="fem", overlap=0)),
         ("FEM No=1", SolverConfig(pressure_variant="fem", overlap=1)),
         ("FEM No=3", SolverConfig(pressure_variant="fem", overlap=3)),
-        ("Condensed", SolverConfig(pressure_variant="condensed")),
+        ("FDM No=0", SolverConfig(pressure_variant="fdm", overlap=0)),
         ("A0=0", SolverConfig(pressure_variant="fdm", use_coarse=False)),
     ]
 
@@ -519,7 +519,7 @@ def main(argv=None) -> int:
                                        "the cylinder mesh")
     p2.add_argument("--level", type=int, default=0, choices=[0, 1, 2])
     p2.add_argument("--variant", default=None,
-                    choices=["fdm", "fem", "condensed"],
+                    choices=["fdm", "fem"],
                     help="run only the rows of one local-solve family")
     pb = sub.add_parser("backends", help="kernel backend / auto-tuner report")
     pb.add_argument("--exercise", action="store_true",
@@ -572,7 +572,7 @@ def main(argv=None) -> int:
                     help="elements per direction")
     pg.add_argument("--order", type=int, default=6)
     pg.add_argument("--smoother", default="jacobi",
-                    choices=["jacobi", "chebyshev", "condensed"])
+                    choices=["jacobi", "chebyshev"])
     pg.add_argument("--coarse", default="cg", choices=["cg", "condensed"])
     pg.add_argument("--rtol", type=float, default=1e-8)
     pg.add_argument("--maxiter", type=int, default=200)

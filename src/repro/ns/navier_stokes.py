@@ -120,9 +120,9 @@ class NavierStokesSolver:
         Fischer-Mullen filter strength (0 disables; Table 1 / Fig. 3).
     config:
         :class:`~repro.api.SolverConfig` supplying the solver-stack
-        decisions: ``pressure_variant`` (Schwarz ``"fdm"``/``"fem"`` or the
-        zero-overlap ``"condensed"`` static-condensation tier, with its
-        ``overlap`` and ``use_coarse``; see
+        decisions: ``pressure_variant`` (Schwarz ``"fdm"``/``"fem"``, or
+        ``"condensed"``, which is ``"fdm"`` at zero overlap), with its
+        ``overlap`` and ``use_coarse`` (see
         :func:`~repro.api.pressure_preconditioner`), ``projection_window``
         (L for the successive-RHS pressure projection, 0 disables; Fig. 4),
         ``pressure_tol``, and ``helmholtz_tol``.

@@ -58,8 +58,8 @@ class StokesSolver:
     config:
         :class:`~repro.api.SolverConfig` supplying the pressure
         preconditioner tier (``pressure_variant``: Schwarz ``"fdm"``/
-        ``"fem"`` or the zero-overlap ``"condensed"`` local solves, with
-        ``overlap`` and ``use_coarse``; see
+        ``"fem"``, or ``"condensed"``, which is ``"fdm"`` at zero overlap;
+        with ``overlap`` and ``use_coarse``; see
         :func:`~repro.api.pressure_preconditioner`) and the
         nested/outer tolerances (``velocity_tol``, ``pressure_tol``,
         ``maxiter``).  The inner solves must be substantially tighter than

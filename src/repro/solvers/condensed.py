@@ -1,7 +1,5 @@
 """Statically condensed elliptic solver tier (Huismann et al.; Section 5).
 
-Two consumers of :mod:`repro.solvers.static_condensation`:
-
 * :class:`CondensedPoissonSolver` — a standalone Helmholtz/Poisson solver
   on the velocity (GLL) grid.  Interior dofs are eliminated exactly, PCG
   iterates only on the assembled element-shell dofs, and each iteration's
@@ -10,22 +8,15 @@ Two consumers of :mod:`repro.solvers.static_condensation`:
   standard tensor-product apply.  The interior factorization is shared
   across elements on rectilinear meshes (one generalized eigenpair for
   all ``K`` interiors) and falls back to batched dense Cholesky on
-  deformed geometry.
+  deformed geometry.  The dense Schur applies run through
+  :func:`repro.backends.dispatch.batched_matvec`, so they get per-shape
+  kernel selection and exact flop accounting like every other hot-path
+  contraction.
 
-* :class:`CondensedEPreconditioner` — a third local-solve tier for the
-  pressure ``E``-system PCG, next to the overlapping-Schwarz ``fdm`` and
-  ``fem`` variants.  Each element's *zero-overlap* pressure block gets
-  the same separable consistent-Poisson surrogate the Schwarz tier uses,
-  but solved by static condensation: interior via shared-per-element
-  fast diagonalization, shell via a dense pseudo-inverted Schur
-  complement.  Combined with the usual coarse-grid term this is the
-  non-overlapping end of the Section 5 design space (``N_o = 0`` with an
-  exact-surrogate local solve instead of a low-order FEM one).
-
-Both run their per-element small-DGEMV batches through
-:func:`repro.backends.dispatch.batched_matvec`, so the condensed applies
-get per-shape kernel selection and exact flop accounting like every
-other hot-path contraction.
+* :func:`CondensedEPreconditioner` — the ``E``-system tier
+  ``pressure_variant="condensed"`` names.  Statically condensing an
+  element's zero-overlap FDM pressure block reproduces that block's own
+  inverse, so the tier is the zero-overlap FDM Schwarz preconditioner.
 """
 
 from __future__ import annotations
@@ -35,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..backends import dispatch as _dispatch
 from ..backends.base import Workspace
 from ..core.assembly import Assembler, DirichletMask
 from ..core.element import GeomFactors, geometric_factors
@@ -45,9 +35,7 @@ from ..core.pressure import PressureOperator
 from ..obs.trace import trace
 from ..perf.flops import add_flops
 from .cg import CGResult, pcg
-from .coarse import CoarseOperator
-from .fdm import FDMSolver, fdm_inverse_denominator, generalized_fdm_pair
-from .schwarz import ElementLinePatches
+from .schwarz import SchwarzPreconditioner
 from .static_condensation import (
     DenseInteriorSolver,
     ElementCondensation,
@@ -286,142 +274,11 @@ class CondensedPoissonSolver:
         return CondensedResult.from_cg(u, res)
 
 
-class CondensedEPreconditioner:
-    """Zero-overlap condensed local solves for the pressure ``E`` system.
+def CondensedEPreconditioner(
+    mesh: Mesh, pop: PressureOperator, use_coarse: bool = True
+) -> SchwarzPreconditioner:
+    """The zero-overlap FDM Schwarz preconditioner (``"condensed"`` tier).
 
-    For each element's ``m^d`` pressure block (``m = N - 1`` Gauss points
-    per direction) the local operator is the separable consistent-Poisson
-    surrogate of the Schwarz ``fdm`` tier restricted to the element's own
-    block (no gridpoint extension):
-
-        A~_k = X_y (x) E_x + E_y (x) X_x      (+ the 3-term form in 3-D)
-
-    but instead of one ``m^d`` eigen-solve, the block is statically
-    condensed: interior dofs by per-direction generalized fast
-    diagonalization (the kron-submatrix identity keeps ``A~_II``
-    separable), shell dofs by a dense pseudo-inverted Schur complement.
-    The composite per-element map
-
-        M_k = V S_k^+ V^T + blkdiag(0, A_II^+),   V = [I, -(A_II^+ A_IB)^T]^T
-
-    is symmetric positive semi-definite by construction, so the global sum
-    (plus the optional coarse term, plus nullspace projection) is a valid
-    PCG preconditioner.  Traced as ``condensed`` with children ``local``
-    and ``coarse``.
+    Condensing the zero-overlap block ``A~_k`` gives ``A~_k^+`` itself.
     """
-
-    def __init__(
-        self,
-        mesh: Mesh,
-        pop: PressureOperator,
-        use_coarse: bool = True,
-    ):
-        if pop.m < 3:
-            raise ValueError(
-                "condensed pressure blocks need N >= 4 (m >= 3 Gauss points "
-                "per direction, so element interiors are nonempty)"
-            )
-        self.mesh = mesh
-        self.pop = pop
-        self.coarse = CoarseOperator(mesh, pop) if use_coarse else None
-        nd = mesh.ndim
-        m = pop.m
-        K = mesh.K
-        b_idx, i_idx = shell_split((m,) * nd)
-        self.b_idx, self.i_idx = b_idx, i_idx
-        n_b, n_i = b_idx.size, i_idx.size
-        mi = m - 2
-
-        patches = ElementLinePatches(mesh, pop)
-        s_fwd = [np.empty((K, mi, mi)) for _ in range(nd)]  # per-direction S
-        inv_den = np.empty((K,) + (mi,) * nd)
-        self.s_pinv = np.empty((K, n_b, n_b))
-        self.a_bi = np.empty((K, n_b, n_i))
-        self.a_ib = np.empty((K, n_i, n_b))
-        for k in range(K):
-            blocks = []  # per direction: (e_sub, x_sub) on the element block
-            lam_dir = []
-            for a in range(nd):
-                e_line, x_line, mid = patches.line_operators(k, a)
-                ids = np.arange(mid * m, (mid + 1) * m)
-                e_sub = e_line[np.ix_(ids, ids)]
-                x_sub = x_line[np.ix_(ids, ids)]
-                blocks.append((e_sub, x_sub))
-                # Interior fast diagonalization: the kron-submatrix identity
-                # (X (x) E)_II = X_ii (x) E_ii keeps the interior separable.
-                s, lam = generalized_fdm_pair(
-                    e_sub[1:-1, 1:-1], x_sub[1:-1, 1:-1]
-                )
-                s_fwd[a][k] = s
-                lam_dir.append(np.maximum(lam, 0.0))
-            # Dense surrogate A~_k = sum_a kron(..., E_a at slot a, ...).
-            a_full = np.zeros((m**nd, m**nd))
-            for a in range(nd):
-                term = np.ones((1, 1))
-                # kron runs slow -> fast, i.e. direction nd-1 down to 0.
-                for b in range(nd - 1, -1, -1):
-                    term = np.kron(term, blocks[b][0] if b == a else blocks[b][1])
-                a_full += term
-            a_bb = a_full[np.ix_(b_idx, b_idx)]
-            self.a_bi[k] = a_full[np.ix_(b_idx, i_idx)]
-            self.a_ib[k] = a_full[np.ix_(i_idx, b_idx)]
-            # Separable pseudo-inverted interior denominator.
-            inv_den[k] = fdm_inverse_denominator(lam_dir)
-            # Schur complement through the same interior pseudo-inverse,
-            # then pseudo-inverted itself (floating-boundary elements carry
-            # a local constant nullspace, exactly like the Schwarz blocks).
-            big_s = s_fwd[0][k]
-            for a in range(1, nd):
-                big_s = np.kron(s_fwd[a][k], big_s)
-            a_ii_pinv = (big_s * inv_den[k].ravel()[None, :]) @ big_s.T
-            schur = a_bb - self.a_bi[k] @ a_ii_pinv @ self.a_ib[k]
-            schur = 0.5 * (schur + schur.T)
-            w, v = np.linalg.eigh(schur)
-            cut = 1e-10 * max(float(w.max()), 1.0)
-            w_inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-            self.s_pinv[k] = (v * w_inv[None, :]) @ v.T
-        #: batched per-element fast diagonalization of the interior blocks
-        self.interior = FDMSolver.from_factors(s_fwd, inv_den)
-        self.mi, self.m, self.ndim = mi, m, nd
-        self.n_b, self.n_i = n_b, n_i
-
-    # ------------------------------------------------------------- interior
-    def _interior_solve(self, f: np.ndarray) -> np.ndarray:
-        """``A_II^+ f`` on flat interior data ``(K, n_i)`` — the shared
-        batched-FDM kernel (transforms differ per element, so this is a
-        batched small GEMM, not a shared-operator dispatch)."""
-        K = f.shape[0]
-        u = self.interior.solve(f.reshape((K,) + (self.mi,) * self.ndim))
-        add_flops(f.size, "mxm")  # the diagonal scale, tallied with the kernel
-        return u.reshape(K, -1)
-
-    # ---------------------------------------------------------------- apply
-    def local_solves(self, r: np.ndarray) -> np.ndarray:
-        """``sum_k R_k^T M_k R_k r`` — condensed per-element block solves."""
-        K = self.mesh.K
-        flat = r.reshape(K, -1)
-        r_b = np.ascontiguousarray(flat[:, self.b_idx])
-        r_i = np.ascontiguousarray(flat[:, self.i_idx])
-        w_i = self._interior_solve(r_i)
-        g_b = r_b - _dispatch.batched_matvec(self.a_bi, w_i)
-        u_b = _dispatch.batched_matvec(self.s_pinv, g_b)
-        u_i = self._interior_solve(
-            r_i - _dispatch.batched_matvec(self.a_ib, u_b)
-        )
-        add_flops(2.0 * r_b.size + r_i.size, "pointwise")
-        out = np.empty_like(flat)
-        out[:, self.b_idx] = u_b
-        out[:, self.i_idx] = u_i
-        return out.reshape(r.shape)
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """Apply ``M^{-1} r``; traced as ``condensed`` / ``local`` + ``coarse``."""
-        with trace("condensed"):
-            with trace("local"):
-                out = self.local_solves(r)
-            if self.coarse is not None:
-                with trace("coarse"):
-                    out = out + self.coarse.apply(r)
-            if self.pop.has_nullspace:
-                out = out - float(np.sum(out) / out.size)
-            return out
+    return SchwarzPreconditioner(mesh, pop, "fdm", overlap=0, use_coarse=use_coarse)

@@ -123,8 +123,8 @@ class FDMSolver:
     (each element may have different spacings) and applies all inverses in
     a handful of stacked matrix products.  It is the library's single
     batched-FDM kernel: the Schwarz ``fdm`` local solves (one instance per
-    subdomain shape class) and the condensed tier's interior solves build
-    it from their own factors through :meth:`from_factors`.
+    subdomain shape class) build it from their own factors through
+    :meth:`from_factors`.
 
     Parameters
     ----------

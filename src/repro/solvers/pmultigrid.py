@@ -29,7 +29,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..backends import dispatch as _dispatch
 from ..core.assembly import Assembler, DirichletMask
 from ..core.basis import interpolation_matrix
 from ..core.element import geometric_factors
@@ -40,7 +39,6 @@ from ..core.tensor import apply_tensor
 from ..obs.trace import trace
 from ..perf.flops import add_flops
 from .chebyshev import ChebyshevSmoother, estimate_extreme_eigenvalues
-from .static_condensation import ElementCondensation, dense_element_matrices
 
 __all__ = ["PLevel", "build_p_hierarchy", "PMultigrid"]
 
@@ -55,10 +53,8 @@ class PLevel:
     #: interpolation from this (coarser) level up to the next finer one;
     #: None on the finest level.
     prolong_1d: Optional[np.ndarray] = None
-    #: the level's local (unassembled) operator and the problem data it was
-    #: built from — what the condensed smoother/coarse tiers need to probe
-    #: element blocks and rebuild a condensed solver at this order.
-    op: Optional[HelmholtzOperator] = None
+    #: the problem data the level was built from — what the condensed
+    #: coarse solve needs to rebuild a condensed solver at this order.
     h1: float = 1.0
     h0: float = 0.0
     dirichlet_sides: Optional[list] = None
@@ -97,8 +93,8 @@ def build_p_hierarchy(
 
     Geometry is re-interpolated per level (isoparametric consistency); the
     masks follow the same Dirichlet sides on every level.  ``min_order``
-    floors the default order schedule — the condensed tiers need interior
-    dofs, i.e. every condensed level at order >= 2.
+    floors the default order schedule — the condensed coarse solve needs
+    interior dofs, i.e. a coarsest order >= 2.
     """
     if min_order < 1:
         raise ValueError("min_order must be >= 1")
@@ -136,7 +132,6 @@ def build_p_hierarchy(
                 order=n,
                 system=system,
                 inv_diagonal=1.0 / dia,
-                op=op,
                 h1=h1,
                 h0=h0,
                 dirichlet_sides=dirichlet_sides,
@@ -151,66 +146,6 @@ def build_p_hierarchy(
     return levels
 
 
-class _CondensedSmoother:
-    """Condensed exact element-block solves as a p-MG smoother.
-
-    The NekRS-style local-solve smoother: each element's full local block
-    is solved exactly by static condensation (interior by Cholesky/fast
-    diagonalization inside :class:`ElementCondensation`, shell by a
-    pseudo-inverted Schur complement — floating elements carry a constant
-    nullspace when ``h0 = 0``), combined as the multiplicity-weighted
-    additive Schwarz
-
-        M = mask . C . dssum . blkdiag(A_k^+) . C,    C = diag(1/mult).
-
-    In unique-dof coordinates this is ``D (Q^T L Q) D`` with ``L``
-    symmetric PSD, so the smoother is symmetric PSD in the system's inner
-    product and safe under PCG.
-    """
-
-    def __init__(self, level: PLevel):
-        system = level.system
-        mesh = system.mesh
-        if mesh.order < 2:
-            raise ValueError(
-                f"condensed smoothing needs order >= 2, level has {mesh.order}"
-            )
-        if level.op is None:
-            raise ValueError(
-                "hierarchy level carries no local operator; rebuild it with "
-                "build_p_hierarchy"
-            )
-        K = mesh.K
-        block = mesh.local_shape[1:]
-        mats = dense_element_matrices(level.op.apply, K, block)
-        self.ec = ElementCondensation(mats, block)
-        # Pseudo-invert the per-element Schur complements (rank-deficient
-        # exactly on floating pure-Neumann element blocks).
-        w, v = np.linalg.eigh(self.ec.schur)
-        cut = 1e-10 * np.maximum(w.max(axis=1), 1.0)
-        w_inv = np.where(
-            w > cut[:, None], 1.0 / np.where(w > cut[:, None], w, 1.0), 0.0
-        )
-        self.s_pinv = np.ascontiguousarray(np.einsum("kib,kb,kjb->kij", v, w_inv, v))
-        self.system = system
-        self._c = system.assembler._inv_mult
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        """``M r`` — one weighted additive-Schwarz pass of exact block solves."""
-        ec = self.ec
-        w = (r * self._c).reshape(self.system.mesh.K, -1)
-        r_b = np.ascontiguousarray(w[:, ec.b_idx])
-        r_i = np.ascontiguousarray(w[:, ec.i_idx])
-        g_b, _ = ec.condense_rhs(r_b, r_i)
-        u_b = _dispatch.batched_matvec(self.s_pinv, g_b)
-        u_i = ec.back_substitute(u_b, r_i)
-        e = ec.merge(u_b, u_i).reshape(r.shape)
-        e = self.system.assembler.dssum(e)
-        e *= self._c
-        add_flops(3.0 * e.size, "pointwise")
-        return self.system.mask.apply(e)
-
-
 class PMultigrid:
     """V-cycle p-multigrid preconditioner over a :func:`build_p_hierarchy`.
 
@@ -222,17 +157,14 @@ class PMultigrid:
         Pre- and post-smoothing sweeps.
     omega:
         Jacobi smoother damping (2/3 is the classical high-frequency
-        choice; unused by the chebyshev/condensed smoothers, which size
-        their own intervals from a Lanczos estimate).
+        choice; unused by the chebyshev smoother, which sizes its own
+        interval from a Lanczos estimate).
     coarse_iters:
         Iteration cap for the coarsest-level solve (small systems converge
         in a handful; exactness is not required of a preconditioner).
     smoother:
-        ``"jacobi"`` (damped point Jacobi), ``"chebyshev"`` (k-step
-        Chebyshev on the Jacobi-preconditioned operator) or ``"condensed"``
-        (Chebyshev-accelerated additive Schwarz of exact condensed element
-        solves, the NekRS smoother shape; every smoothed level needs order
-        >= 2 — build the hierarchy with ``min_order=2``).
+        ``"jacobi"`` (damped point Jacobi) or ``"chebyshev"`` (k-step
+        Chebyshev on the Jacobi-preconditioned operator).
     coarse:
         ``"cg"`` (Jacobi-PCG on the assembled coarsest system) or
         ``"condensed"`` (interface-only PCG of
@@ -254,18 +186,10 @@ class PMultigrid:
     ):
         if not levels:
             raise ValueError("empty hierarchy")
-        if smoother not in ("jacobi", "chebyshev", "condensed"):
+        if smoother not in ("jacobi", "chebyshev"):
             raise ValueError(f"unknown smoother {smoother!r}")
         if coarse not in ("cg", "condensed"):
             raise ValueError(f"unknown coarse solve {coarse!r}")
-        if smoother == "condensed":
-            low = [lvl.order for lvl in levels[:-1] if lvl.order < 2]
-            if low:
-                raise ValueError(
-                    "condensed smoothing needs every smoothed level at order "
-                    f">= 2, got orders {low}; build the hierarchy with "
-                    "min_order=2"
-                )
         if coarse == "condensed" and levels[-1].order < 2:
             raise ValueError(
                 "condensed coarse solve needs the coarsest order >= 2; build "
@@ -279,7 +203,6 @@ class PMultigrid:
         self.coarse = coarse
         self.cheb_degree = int(cheb_degree)
         self._cheb: dict = {}
-        self._condensed_sm: dict = {}
         self._coarse_solver = None
 
     # ----------------------------------------------------------- transfers
@@ -323,13 +246,6 @@ class PMultigrid:
             self._cheb[i] = sm
         return sm
 
-    def _condensed_for(self, i: int) -> _CondensedSmoother:
-        sm = self._condensed_sm.get(i)
-        if sm is None:
-            sm = _CondensedSmoother(self.levels[i])
-            self._condensed_sm[i] = sm
-        return sm
-
     def _smooth(self, i: int, x: np.ndarray, b: np.ndarray, sweeps: int) -> np.ndarray:
         lvl = self.levels[i]
         if self.smoother == "chebyshev":
@@ -337,28 +253,6 @@ class PMultigrid:
             for _ in range(sweeps):
                 x = sm.apply(lvl.inv_diagonal * b, x0=x)
                 add_flops(float(b.size), "pointwise")
-            return x
-        if self.smoother == "condensed":
-            sm = self._condensed_for(i)
-            cheb = self._cheb.get(("cond", i))
-            if cheb is None:
-                # Chebyshev-accelerate the Schwarz sweep (the NekRS smoother
-                # shape): the raw additive correction has lam_max(M A) well
-                # above 2, so a fixed damping either diverges or crawls —
-                # the polynomial wrapper targets the measured interval.
-                def matvec_p(v: np.ndarray, lvl=lvl, sm=sm) -> np.ndarray:
-                    return sm.apply(lvl.system.matvec(v))
-
-                _, lam_hi = estimate_extreme_eigenvalues(
-                    matvec_p, b, dot=lvl.system.dot, n_iter=12
-                )
-                cheb = ChebyshevSmoother(
-                    matvec_p, lam_hi / 30.0, 1.1 * lam_hi, degree=self.cheb_degree
-                )
-                self._cheb[("cond", i)] = cheb
-            with trace("condensed_smooth"):
-                for _ in range(sweeps):
-                    x = cheb.apply(sm.apply(b), x0=x)
             return x
         for _ in range(sweeps):
             r = b - lvl.system.matvec(x)

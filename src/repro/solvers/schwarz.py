@@ -76,8 +76,8 @@ def element_lengths(mesh: Mesh) -> np.ndarray:
     """Mean element extent per direction, shape (K, ndim) (r, s[, t]).
 
     Averages the Euclidean lengths of the element edges along each reference
-    direction — the rectilinear surrogate dimensions used by the Schwarz and
-    condensed local solves.
+    direction — the rectilinear surrogate dimensions used by the Schwarz
+    local solves.
     """
     corners = element_corner_coords(mesh)  # (K, 2^nd, nd), r-bit fastest
     nd = mesh.ndim
@@ -100,8 +100,6 @@ class ElementLinePatches:
     extent of each slab of elements (the neighbor length used so deformed
     meshes get a sensible neighbor extent without per-neighbor lookups) —
     computed once, so building every element's line operators is O(K).
-    Shared by :class:`SchwarzPreconditioner` (overlapping subdomains) and
-    the condensed tier (zero-overlap element blocks).
     """
 
     def __init__(self, mesh: Mesh, pop: PressureOperator):
@@ -484,19 +482,6 @@ class SchwarzPreconditioner:
             if self.pop.has_nullspace:
                 out -= float(np.sum(out) / out.size)
             return out
-
-
-def _fix_wrapped_ends(line: np.ndarray) -> np.ndarray:
-    """Replace periodic-wrapped end coordinates by mirrored spacings."""
-    line = line.copy()
-    n = line.size
-    if n >= 3 and line[0] >= line[1]:
-        line[0] = line[1] - (line[2] - line[1])
-    if n >= 3 and line[-1] <= line[-2]:
-        line[-1] = line[-2] + (line[-2] - line[-3])
-    if np.any(np.diff(line) <= 0):
-        raise ValueError("subdomain coordinate line is not monotone")
-    return line
 
 
 def _grid_positively_oriented(xs: np.ndarray, ys: np.ndarray) -> bool:

@@ -83,8 +83,8 @@ class Table2Case:
 
     Config fields mirror the Table 2 columns: ``pressure_variant="fdm"``;
     ``"fem"`` with ``overlap`` 0/1/3; ``use_coarse=False`` for the
-    ``A_0 = 0`` column.  ``"condensed"`` runs the zero-overlap statically
-    condensed tier (``overlap`` is ignored there).
+    ``A_0 = 0`` column.  ``"condensed"`` runs the ``"fdm"`` tier at zero
+    overlap (``overlap`` is ignored there).
 
     With a :class:`~repro.service.FactorCache`, the mesh, pressure
     operator, RHS, and each preconditioner variant are built once and

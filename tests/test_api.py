@@ -55,6 +55,17 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="unknown pressure_variant"):
             SolverConfig().replace(pressure_variant=variant)
 
+    @pytest.mark.parametrize("smoother", ["condensed", "bogus", "chebychev"])
+    def test_unknown_pmg_smoother_rejected_at_construction(self, smoother):
+        # "condensed" names a p-MG coarse solve, not a smoother.
+        with pytest.raises(ValueError, match="'jacobi' or 'chebyshev'"):
+            SolverConfig(pmg_smoother=smoother)
+
+    @pytest.mark.parametrize("coarse", ["nope", "jacobi"])
+    def test_unknown_pmg_coarse_rejected_at_construction(self, coarse):
+        with pytest.raises(ValueError, match="'cg' or 'condensed'"):
+            SolverConfig(pmg_coarse=coarse)
+
 
 class TestRunSpec:
     def test_dict_roundtrip(self):
@@ -87,6 +98,12 @@ class TestRunSpec:
         with pytest.raises(ValueError, match=f"unknown pressure_variant '{variant}'"):
             RunSpec.from_dict({"workload": "table2",
                                "config": {"pressure_variant": variant}})
+
+    def test_from_dict_rejects_misspelt_pmg_tier(self):
+        # A misspelt serve request must not silently run the default tier.
+        with pytest.raises(ValueError, match="unknown pmg_smoother 'chebychev'"):
+            RunSpec.from_dict({"workload": "poisson",
+                               "config": {"pmg_smoother": "chebychev"}})
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +197,13 @@ class TestFacades:
         from repro.service import FactorCache
 
         mesh = box_mesh_2d(2, 2, 8)
-        cfg = SolverConfig(pmg_smoother="condensed", pmg_coarse="condensed")
+        cfg = SolverConfig(pmg_smoother="chebyshev", pmg_coarse="condensed")
         cache = FactorCache()
         pmg, levels = pmg_preconditioner(mesh, config=cfg, cache=cache)
-        # The condensed tier floors the schedule so the coarsest level
-        # keeps interior dofs.
+        # The condensed coarse solve floors the schedule so the coarsest
+        # level keeps interior dofs.
         assert [l.order for l in levels] == [8, 4, 2]
-        assert pmg.smoother == "condensed" and pmg.coarse == "condensed"
+        assert pmg.smoother == "chebyshev" and pmg.coarse == "condensed"
         again, _ = pmg_preconditioner(mesh, config=cfg, cache=cache)
         assert again is pmg
         assert cache.stats.hits == 1 and cache.stats.misses == 1
@@ -195,3 +212,27 @@ class TestFacades:
                                             cache=cache)
         assert other is not pmg
         assert [l.order for l in olevels] == [8, 4, 2, 1]
+
+    def test_condensed_pressure_tier_is_zero_overlap_fdm(self):
+        from repro.api import pressure_preconditioner
+        from repro.core.mesh import box_mesh_2d
+        from repro.core.pressure import PressureOperator
+        from repro.service import FactorCache
+        from repro.solvers.schwarz import SchwarzPreconditioner
+
+        mesh = box_mesh_2d(3, 3, 5)
+        pop = PressureOperator(mesh)
+        cache = FactorCache()
+        cond = pressure_preconditioner(
+            mesh, pop, SolverConfig(pressure_variant="condensed", overlap=3),
+            cache=cache,
+        )
+        assert isinstance(cond, SchwarzPreconditioner)
+        assert cond.variant == "fdm" and cond.overlap == 0
+        # One cache entry for both spellings of the same preconditioner.
+        fdm0 = pressure_preconditioner(
+            mesh, pop, SolverConfig(pressure_variant="fdm", overlap=0),
+            cache=cache,
+        )
+        assert fdm0 is cond
+        assert cache.stats.hits == 1 and cache.stats.misses == 1

@@ -44,7 +44,7 @@ class TestCLI:
     def test_pmg_condensed_tier(self, capsys):
         assert main([
             "pmg", "--dim", "2", "--elements", "3", "--order", "8",
-            "--smoother", "condensed", "--coarse", "condensed",
+            "--smoother", "chebyshev", "--coarse", "condensed",
         ]) == 0
         out = capsys.readouterr().out
         assert "condensed" in out and "converged" in out
@@ -56,8 +56,9 @@ class TestCLI:
         assert "jacobi" in out
 
     def test_pmg_rejects_unknown_smoother(self):
-        with pytest.raises(SystemExit):
-            main(["pmg", "--smoother", "bogus"])
+        for bad in ("bogus", "condensed"):
+            with pytest.raises(SystemExit):
+                main(["pmg", "--smoother", bad])
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
