@@ -9,6 +9,9 @@ Paper shapes to reproduce (N = 7, eps = 1e-5, quad-refinement sequence):
   iterations and faster in cpu;
 * iteration counts grow with K (high-aspect-ratio elements).
 
+Each variant reports its solve ("cpu") and preconditioner build ("setup")
+seconds.
+
 Workload substitution (DESIGN.md): graded half-annulus around a unit
 cylinder with an impulsive-start RHS; levels K = 96 / 384 / 1536.
 """
@@ -58,12 +61,12 @@ def test_table2(benchmark, results):
 
     headers = ["K"]
     for tag, _ in VARIANTS:
-        headers += [f"{tag} iter", f"{tag} cpu"]
+        headers += [f"{tag} iter", f"{tag} cpu", f"{tag} setup"]
     rows = []
     for K, row in results.items():
         r = [K]
         for tag, _ in VARIANTS:
-            r += [row[tag].iterations, row[tag].cpu_seconds]
+            r += [row[tag].iterations, row[tag].cpu_seconds, row[tag].setup_seconds]
         rows.append(r)
     text = fmt_table(headers, rows,
                      title="Table 2: additive Schwarz, cylinder problem, N=7, eps=1e-5")

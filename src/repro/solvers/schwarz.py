@@ -399,9 +399,11 @@ class SchwarzPreconditioner:
         positively oriented; periodic wraps, which break orientation in
         physical coordinates, fall back to a rectilinear arc-length
         surrogate (only local spacings matter for the preconditioner).
-        The explicit (symmetrized) inverses are written straight into
-        their class stack: peak memory is the stack itself, the same
-        ``K n^2`` a per-element factor list would hold.
+        Each shape class is assembled as one stack: the class's coordinate
+        grids are stacked, and every triangle position adds its stiffness
+        for all subdomains at once into the interior rows of the
+        ``(K_c, n, n)`` stack, which the explicit (symmetrized) inverses
+        then overwrite in place — peak memory is the stack itself.
         """
         xc, yc = lat.lattice_coords[0], lat.lattice_coords[1]
         index_sets = [
@@ -410,19 +412,25 @@ class SchwarzPreconditioner:
         classes = []
         for ks, shape, gather in self._shape_classes(lat, index_sets):
             n = gather.shape[1]
-            inverses = np.empty((ks.size, n, n))
+            ixs = [np.ix_(*index_sets[k]) for k in ks]
+            xs = np.stack([xc[ix] for ix in ixs])
+            ys = np.stack([yc[ix] for ix in ixs])
+            # Orientation of every cell, all subdomains at once.
+            ax, ay = np.diff(xs, axis=2)[:, :-1], np.diff(ys, axis=2)[:, :-1]
+            bx, by = np.diff(xs, axis=1)[:, :, :-1], np.diff(ys, axis=1)[:, :, :-1]
+            for j in np.flatnonzero(~np.all(ax * by - ay * bx > 0, axis=(1, 2))):
+                iy, ix = index_sets[ks[j]]
+                xs[j], ys[j] = np.meshgrid(
+                    _arclength_line(xs[j], ys[j], 1, ix),
+                    _arclength_line(xs[j], ys[j], 0, iy),
+                )
+            inverses = np.zeros((ks.size, n, n))
+            _add_fem_laplacian(_pad_mirror(xs), _pad_mirror(ys), inverses)
             eye = np.eye(n)
-            for j, k in enumerate(ks):
-                ix = np.ix_(*index_sets[k])
-                xs, ys = xc[ix], yc[ix]
-                if not _grid_positively_oriented(xs, ys):
-                    lx = _arclength_line(xs, ys, axis=1)
-                    ly = _arclength_line(xs, ys, axis=0)
-                    xs, ys = np.meshgrid(lx, ly)
-                a_loc = _fem_laplacian_grid_2d(_pad_mirror_2d(xs), _pad_mirror_2d(ys))
-                inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a_loc), eye)
-                np.add(inv, inv.T, out=inverses[j])
-                inverses[j] *= 0.5
+            for a in inverses:
+                inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), eye)
+                np.add(inv, inv.T, out=a)
+                a *= 0.5
             classes.append(SubdomainClass(ks, shape, gather, inverses))
         return classes
 
@@ -484,89 +492,73 @@ class SchwarzPreconditioner:
             return out
 
 
-def _grid_positively_oriented(xs: np.ndarray, ys: np.ndarray) -> bool:
-    """True if every cell of a logically-rect coordinate grid has positive
-    orientation (cross product of the two grid tangents)."""
-    ax = np.diff(xs, axis=1)[:-1, :]
-    ay = np.diff(ys, axis=1)[:-1, :]
-    bx = np.diff(xs, axis=0)[:, :-1]
-    by = np.diff(ys, axis=0)[:, :-1]
-    return bool(np.all(ax * by - ay * bx > 0))
-
-
-def _arclength_line(xs: np.ndarray, ys: np.ndarray, axis: int) -> np.ndarray:
+def _arclength_line(
+    xs: np.ndarray, ys: np.ndarray, axis: int, idx: np.ndarray
+) -> np.ndarray:
     """Rectilinear surrogate coordinates from mean arc-length spacings.
 
-    Periodic-wrap intervals show up as spacing outliers and are clamped to
-    the neighboring interior spacing (only local spacing matters for the
-    surrogate local operator).
+    ``idx`` holds the subdomain's lattice indices along ``axis``.  Where
+    they wrap (a periodic seam, anywhere in the subdomain once the overlap
+    exceeds one point) the physical interval spans the domain; it is
+    clamped to the nearest unwrapped spacing (only local spacing matters
+    for the surrogate local operator).
     """
     ds = np.sqrt(np.diff(xs, axis=axis) ** 2 + np.diff(ys, axis=axis) ** 2)
     mean_ds = ds.mean(axis=1 - axis)
-    med = float(np.median(mean_ds))
-    for i in (0, mean_ds.size - 1):
-        if mean_ds[i] > 3.0 * med:
-            j = 1 if i == 0 else mean_ds.size - 2
-            mean_ds[i] = mean_ds[j]
+    step = np.diff(idx)
+    wrap, good = np.flatnonzero(step != 1), np.flatnonzero(step == 1)
+    if wrap.size and good.size:
+        nearest = np.abs(good[None, :] - wrap[:, None]).argmin(axis=1)
+        mean_ds[wrap] = mean_ds[good[nearest]]
     return np.concatenate(([0.0], np.cumsum(mean_ds)))
 
 
-def _pad_mirror_2d(c: np.ndarray) -> np.ndarray:
-    """Pad a 2-D coordinate grid by one mirrored ring."""
-    out = np.empty((c.shape[0] + 2, c.shape[1] + 2))
-    out[1:-1, 1:-1] = c
-    out[0, 1:-1] = 2 * c[0] - c[1]
-    out[-1, 1:-1] = 2 * c[-1] - c[-2]
-    out[:, 0] = 2 * out[:, 1] - out[:, 2]
-    out[:, -1] = 2 * out[:, -2] - out[:, -3]
+def _pad_mirror(c: np.ndarray) -> np.ndarray:
+    """Pad stacked 2-D coordinate grids ``(K_c, gy, gx)`` by one mirrored ring."""
+    out = np.empty((c.shape[0], c.shape[1] + 2, c.shape[2] + 2))
+    out[:, 1:-1, 1:-1] = c
+    out[:, 0, 1:-1] = 2 * c[:, 0] - c[:, 1]
+    out[:, -1, 1:-1] = 2 * c[:, -1] - c[:, -2]
+    out[:, :, 0] = 2 * out[:, :, 1] - out[:, :, 2]
+    out[:, :, -1] = 2 * out[:, :, -2] - out[:, :, -3]
     return out
 
 
-def _fem_laplacian_grid_2d(xg: np.ndarray, yg: np.ndarray) -> np.ndarray:
-    """Dense low-order FEM Laplacian on a logically-rect coordinate grid.
+def _add_fem_laplacian(xg: np.ndarray, yg: np.ndarray, out: np.ndarray) -> None:
+    """Add low-order FEM Laplacians on stacked logically-rect grids to ``out``.
 
-    ``xg, yg``: (my+2, mx+2) node coordinates including the Dirichlet ghost
-    ring; returns the (my*mx, my*mx) interior operator (SPD).  Each quad
-    cell is split into two linear triangles (the unstructured construction
-    sketched in Fig. 5 left), which matches the high-frequency stiffness of
-    ``E`` noticeably better than bilinear quads.
+    ``xg, yg``: ``(K_c, my+2, mx+2)`` node coordinates including the
+    Dirichlet ghost ring; ``out``: ``(K_c, my*mx, my*mx)`` interior
+    operators (SPD).  Each quad cell is split into two linear triangles
+    (the unstructured construction sketched in Fig. 5 left), which matches
+    the high-frequency stiffness of ``E`` noticeably better than bilinear
+    quads.  Triangles are visited in (row, column, triangle) order for all
+    subdomains at once, so every interior entry receives its additions in
+    the same order as a one-subdomain assembly; ghost-ring rows and
+    columns are never stored, but every triangle is checked.
     """
-    gy, gx = xg.shape
-    n = gy * gx
-    a = np.zeros((n, n))
-
-    def nid(j, i):
-        return j * gx + i
-
+    gy, gx = xg.shape[1:]
     for j in range(gy - 1):
         for i in range(gx - 1):
-            quad_pts = np.array(
-                [
-                    [xg[j, i], yg[j, i]],
-                    [xg[j, i + 1], yg[j, i + 1]],
-                    [xg[j + 1, i + 1], yg[j + 1, i + 1]],
-                    [xg[j + 1, i], yg[j + 1, i]],
-                ]
-            )
-            quad_ids = [nid(j, i), nid(j, i + 1), nid(j + 1, i + 1), nid(j + 1, i)]
+            quad = ((j, i), (j, i + 1), (j + 1, i + 1), (j + 1, i))
             for tri in ((0, 1, 2), (0, 2, 3)):
-                k_tri = _tri_stiffness(quad_pts[list(tri)])
-                ids = [quad_ids[t] for t in tri]
-                a[np.ix_(ids, ids)] += k_tri
-    interior = np.zeros((gy, gx), dtype=bool)
-    interior[1:-1, 1:-1] = True
-    keep = np.nonzero(interior.ravel())[0]
-    return a[np.ix_(keep, keep)]
-
-
-def _tri_stiffness(p: np.ndarray) -> np.ndarray:
-    """Linear-triangle Laplacian stiffness from vertex coordinates (3, 2)."""
-    b = np.array([p[1, 1] - p[2, 1], p[2, 1] - p[0, 1], p[0, 1] - p[1, 1]])
-    c = np.array([p[2, 0] - p[1, 0], p[0, 0] - p[2, 0], p[1, 0] - p[0, 0]])
-    area2 = (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1]) - (p[2, 0] - p[0, 0]) * (
-        p[1, 1] - p[0, 1]
-    )
-    if area2 <= 0:
-        raise ValueError("degenerate or inverted triangle in local FEM grid")
-    return (np.outer(b, b) + np.outer(c, c)) / (2.0 * area2)
-
+                vj = [quad[t][0] for t in tri]
+                vi = [quad[t][1] for t in tri]
+                px, py = xg[:, vj, vi], yg[:, vj, vi]  # (K_c, 3)
+                b = np.stack([py[:, 1] - py[:, 2], py[:, 2] - py[:, 0],
+                              py[:, 0] - py[:, 1]], axis=1)
+                c = np.stack([px[:, 2] - px[:, 1], px[:, 0] - px[:, 2],
+                              px[:, 1] - px[:, 0]], axis=1)
+                area2 = (px[:, 1] - px[:, 0]) * (py[:, 2] - py[:, 0]) - (
+                    px[:, 2] - px[:, 0]
+                ) * (py[:, 1] - py[:, 0])
+                if np.any(area2 <= 0):
+                    raise ValueError("degenerate or inverted triangle in local FEM grid")
+                keep = [t for t in range(3) if 0 < vj[t] < gy - 1 and 0 < vi[t] < gx - 1]
+                if not keep:
+                    continue
+                b, c = b[:, keep], c[:, keep]
+                ids = np.array([(vj[t] - 1) * (gx - 2) + vi[t] - 1 for t in keep])
+                out[:, ids[:, None], ids] += (
+                    b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
+                ) / (2.0 * area2)[:, None, None]

@@ -338,3 +338,137 @@ class TestBatchedApply:
         assert not any(t.is_alive() for t in threads)
         assert not errors
         assert mismatches == [0] * n_threads
+
+
+# ---------------------------------------------------------------------------
+# Class-batched FEM build against the one-subdomain-at-a-time assembly
+# ---------------------------------------------------------------------------
+def _oracle_positively_oriented(xs, ys):
+    ax = np.diff(xs, axis=1)[:-1, :]
+    ay = np.diff(ys, axis=1)[:-1, :]
+    bx = np.diff(xs, axis=0)[:, :-1]
+    by = np.diff(ys, axis=0)[:, :-1]
+    return bool(np.all(ax * by - ay * bx > 0))
+
+
+def _oracle_pad_mirror_2d(c):
+    out = np.empty((c.shape[0] + 2, c.shape[1] + 2))
+    out[1:-1, 1:-1] = c
+    out[0, 1:-1] = 2 * c[0] - c[1]
+    out[-1, 1:-1] = 2 * c[-1] - c[-2]
+    out[:, 0] = 2 * out[:, 1] - out[:, 2]
+    out[:, -1] = 2 * out[:, -2] - out[:, -3]
+    return out
+
+
+def _oracle_tri_stiffness(p):
+    b = np.array([p[1, 1] - p[2, 1], p[2, 1] - p[0, 1], p[0, 1] - p[1, 1]])
+    c = np.array([p[2, 0] - p[1, 0], p[0, 0] - p[2, 0], p[1, 0] - p[0, 0]])
+    area2 = (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1]) - (p[2, 0] - p[0, 0]) * (
+        p[1, 1] - p[0, 1]
+    )
+    if area2 <= 0:
+        raise ValueError("degenerate or inverted triangle in local FEM grid")
+    return (np.outer(b, b) + np.outer(c, c)) / (2.0 * area2)
+
+
+def _oracle_fem_laplacian_grid_2d(xg, yg):
+    """Padded-grid assembly, ghost ring included, then the interior block."""
+    gy, gx = xg.shape
+    a = np.zeros((gy * gx, gy * gx))
+    for j in range(gy - 1):
+        for i in range(gx - 1):
+            quad = [(j, i), (j, i + 1), (j + 1, i + 1), (j + 1, i)]
+            pts = np.array([[xg[q], yg[q]] for q in quad])
+            ids = [q[0] * gx + q[1] for q in quad]
+            for tri in ((0, 1, 2), (0, 2, 3)):
+                tids = [ids[t] for t in tri]
+                a[np.ix_(tids, tids)] += _oracle_tri_stiffness(pts[list(tri)])
+    interior = np.zeros((gy, gx), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    keep = np.nonzero(interior.ravel())[0]
+    return a[np.ix_(keep, keep)]
+
+
+def _oracle_fem_inverse(pc, lattice, k):
+    """Subdomain k's symmetrised local inverse, built on its own."""
+    import scipy.linalg
+
+    from repro.solvers.schwarz import _arclength_line
+
+    iy, ix = lattice.subdomain_indices(k, pc.overlap)
+    xs = lattice.lattice_coords[0][np.ix_(iy, ix)]
+    ys = lattice.lattice_coords[1][np.ix_(iy, ix)]
+    if not _oracle_positively_oriented(xs, ys):
+        xs, ys = np.meshgrid(
+            _arclength_line(xs, ys, 1, ix), _arclength_line(xs, ys, 0, iy)
+        )
+    a = _oracle_fem_laplacian_grid_2d(_oracle_pad_mirror_2d(xs), _oracle_pad_mirror_2d(ys))
+    inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), np.eye(a.shape[0]))
+    return 0.5 * (inv + inv.T)
+
+
+def _table2_l0():
+    from repro.workloads.cylinder_model import Table2Case
+
+    case = Table2Case(level=0, order=7)
+    return case.mesh
+
+
+FEM_BUILD_MESHES = {
+    "table2-L0": _table2_l0,
+    "2d-periodic": lambda: box_mesh_2d(8, 8, 4, periodic=(True, True)),
+    "2d-deformed": lambda: map_mesh(box_mesh_2d(4, 4, 5), _deform_2d),
+}
+
+
+class TestFEMBuild:
+    @pytest.mark.parametrize("overlap", [0, 1, 3])
+    @pytest.mark.parametrize("mesh_name", sorted(FEM_BUILD_MESHES))
+    def test_class_stacks_bitwise_equal_per_subdomain_build(self, mesh_name, overlap):
+        mesh = FEM_BUILD_MESHES[mesh_name]()
+        pop = PressureOperator(mesh)
+        pc = SchwarzPreconditioner(mesh, pop, variant="fem", overlap=overlap,
+                                   use_coarse=False)
+        lattice = PressureLattice(mesh, pop)
+        for cls in pc.subdomain_classes:
+            ref = np.stack([_oracle_fem_inverse(pc, lattice, k) for k in cls.elements])
+            assert np.array_equal(cls.solver, ref)
+
+    def test_inverted_ghost_only_triangle_raises(self):
+        from repro.solvers.schwarz import _add_fem_laplacian
+
+        # Padded 5 x 6 grid; the top-right corner quad's first triangle
+        # (0, gx-2), (0, gx-1), (1, gx-1) has no interior vertex.
+        yg, xg = np.meshgrid(np.arange(5.0), np.arange(6.0), indexing="ij")
+        xg[0, -1] = xg[0, -2] - 0.5  # fold it over
+        with pytest.raises(ValueError, match="inverted"):
+            _oracle_fem_laplacian_grid_2d(xg, yg)
+        with pytest.raises(ValueError, match="inverted"):
+            _add_fem_laplacian(xg[None], yg[None], np.zeros((1, 12, 12)))
+
+    def test_periodic_wrap_inside_subdomain_is_clamped(self):
+        """With N_o >= 2 the periodic seam can fall inside a subdomain; its
+        domain-length interval must not survive into the surrogate."""
+        from repro.solvers.schwarz import _arclength_line
+
+        m, pop = make_problem(8, 8, 4, periodic=(True, True))
+        lattice = PressureLattice(m, pop)
+        surrogates = 0
+        for k in range(m.K):
+            iy, ix = lattice.subdomain_indices(k, 3)
+            xs = lattice.lattice_coords[0][np.ix_(iy, ix)]
+            ys = lattice.lattice_coords[1][np.ix_(iy, ix)]
+            if _oracle_positively_oriented(xs, ys):
+                continue
+            surrogates += 1
+            for axis, idx in ((1, ix), (0, iy)):
+                ds = np.diff(_arclength_line(xs, ys, axis, idx))
+                assert ds.max() <= 3.0 * np.median(ds)
+        assert surrogates > 0
+        iters = {
+            no: solve_iters(m, pop, SchwarzPreconditioner(m, pop, variant="fem",
+                                                          overlap=no), tol=1e-8)
+            for no in (1, 3)
+        }
+        assert iters[3] <= iters[1]
