@@ -275,18 +275,11 @@ def _cmd_spmd(args) -> int:
 
     # Run the rank program directly so the SPMDRunResult (per-rank stats,
     # merged phases, worker trace regions) is in hand for the report.
-    from repro.core.assembly import Assembler
     from repro.parallel.exec import run_spmd
 
-    rhs = solver.mask.apply(
-        Assembler.for_mesh(mesh).dssum(solver.op.mass.apply(f))
-    )
-    b = solver._split(rhs)
-    ctxs = solver.rank_contexts()
     run = run_spmd(
         cg_rank_program,
-        [(ctxs[r], b[r], spec.config.tol, spec.config.maxiter)
-         for r in range(args.ranks)],
+        solver.rank_args(f, spec.config.tol, spec.config.maxiter),
         ranks=args.ranks,
         executor=args.executor,
         machine=machine,

@@ -96,8 +96,19 @@ def gs_op_rank(comm: Comm, handle: RankGS, value: np.ndarray, op: str = "+"):
 
     with comm.trace("gs_op"):
         # Local pre-reduce: fold this rank's own copies in index order.
-        loc = np.full((handle.uniq.size, vec_width), init)
-        ufunc.at(loc, handle.inv, flat)
+        # ``bincount`` sums each bin in input order from +0.0, exactly as
+        # ``add.at`` does, at a fraction of its cost; component c of
+        # position i is bin ``i * vec_width + c``.
+        if op == "+":
+            ids = handle.inv
+            if vec_width > 1:
+                ids = (ids[:, None] * vec_width + np.arange(vec_width)).ravel()
+            loc = np.bincount(
+                ids, weights=flat.ravel(), minlength=handle.uniq.size * vec_width
+            ).reshape(-1, vec_width)
+        else:
+            loc = np.full((handle.uniq.size, vec_width), init)
+            ufunc.at(loc, handle.inv, flat)
         comm.compute(flat.size, mxm_fraction=0.0)
 
         # One pairwise exchange per neighbor, ascending rank order.
@@ -141,30 +152,51 @@ class GatherScatter:
         self.local_ids = [np.asarray(ids).ravel() for ids in local_ids]
         self.local_shapes = [np.asarray(ids).shape for ids in local_ids]
         self.n_global = int(max(ids.max() for ids in self.local_ids)) + 1
+        self._unique = [np.unique(ids, return_inverse=True) for ids in self.local_ids]
 
-        # Which ranks touch each global id.
-        touch: Dict[int, List[int]] = {}
-        for r, ids in enumerate(self.local_ids):
-            for g in np.unique(ids):
-                touch.setdefault(int(g), []).append(r)
-        #: ids shared by >= 2 ranks
-        self.shared_ids = {g: rs for g, rs in touch.items() if len(rs) > 1}
+        # Which ranks touch each global id: every rank's unique ids, stably
+        # sorted by id, so each id's run lists its ranks in ascending order.
+        ids = np.concatenate([u for u, _ in self._unique])
+        ranks = np.repeat(np.arange(self.p), [u.size for u, _ in self._unique])
+        order = np.argsort(ids, kind="stable")
+        ids, ranks = ids[order], ranks[order]
+        start = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        count = np.diff(np.r_[start, ids.size])
+        shared = count > 1
+        #: ids shared by >= 2 ranks, ascending
+        self._shared = ids[start[shared]]
+        # Signature matrix: row i holds the ranks sharing ``_shared[i]``,
+        # ascending, padded with ``p``.
+        in_shared = np.repeat(shared, count)
+        row = np.repeat(np.cumsum(shared) - 1, count)[in_shared]
+        col = (np.arange(ids.size) - np.repeat(start, count))[in_shared]
+        self._sig = np.full((self._shared.size, int(count.max())), self.p)
+        self._sig[row, col] = ranks[in_shared]
+
+        # Wire lists: the ids each rank pair (a < b) shares, ascending (the
+        # order of every exchange buffer).  Every pair of signature columns
+        # contributes the rows where both hold a rank; a stable sort by pair
+        # keeps each pair's ids in row (ascending id) order.
+        i, j = np.triu_indices(self._sig.shape[1], 1)
+        ok = self._sig[:, j] < self.p
+        key = (self._sig[:, i] * self.p + self._sig[:, j])[ok]
+        g = np.broadcast_to(self._shared[:, None], ok.shape)[ok]
+        order = np.argsort(key, kind="stable")
+        keys, cut = np.unique(key[order], return_index=True)
+        self._pair_ids: Dict[Tuple[int, int], np.ndarray] = {
+            (int(k) // self.p, int(k) % self.p): ids_k
+            for k, ids_k in zip(keys, np.split(g[order], cut[1:]))
+        }
         # Pairwise exchange word counts (for the cost model): every pair of
         # ranks sharing ids exchanges that many node values.
-        pair_counts: Dict[Tuple[int, int], int] = {}
-        for g, rs in self.shared_ids.items():
-            for i in range(len(rs)):
-                for j in range(i + 1, len(rs)):
-                    key = (rs[i], rs[j])
-                    pair_counts[key] = pair_counts.get(key, 0) + 1
-        self.pair_counts = pair_counts
+        self.pair_counts = {k: int(v.size) for k, v in self._pair_ids.items()}
         self._rank_handles: Optional[List[RankGS]] = None
 
     # -------------------------------------------------------------- metrics
     @property
     def n_shared(self) -> int:
         """Number of global nodes shared between at least two ranks."""
-        return len(self.shared_ids)
+        return int(self._shared.size)
 
     def max_rank_volume(self) -> int:
         """Largest per-rank communication volume (words, scalar mode)."""
@@ -188,48 +220,42 @@ class GatherScatter:
         if self._rank_handles is not None:
             return self._rank_handles
 
-        # ids shared per unordered rank pair, sorted by global id (this is
-        # the wire order of every exchange buffer).
-        pair_ids: Dict[Tuple[int, int], List[int]] = {}
-        for g in sorted(self.shared_ids):
-            rs = self.shared_ids[g]
-            for i in range(len(rs)):
-                for j in range(i + 1, len(rs)):
-                    pair_ids.setdefault((rs[i], rs[j]), []).append(g)
+        # One combine group per distinct sharing signature, ordered by its
+        # first shared id; within a group the ids stay ascending.
+        _, first, label = np.unique(
+            self._sig, axis=0, return_index=True, return_inverse=True
+        )
+        lead = first[label.ravel()]  # each row's group, named by its first row
+        rows = np.argsort(lead, kind="stable")
+        _, cut = np.unique(lead[rows], return_index=True)
+        groups_all = [
+            (
+                tuple(int(q) for q in self._sig[idx[0]] if q < self.p),
+                self._shared[idx],
+            )
+            for idx in np.split(rows, cut[1:])
+            if idx.size
+        ]
 
         handles = []
         for r in range(self.p):
-            uniq, inv = np.unique(self.local_ids[r], return_inverse=True)
-            pos_of = {int(g): i for i, g in enumerate(uniq)}
-
+            uniq, inv = self._unique[r]
             neighbors = sorted(
-                (b if a == r else a) for (a, b) in pair_ids if r in (a, b)
+                (b if a == r else a) for (a, b) in self._pair_ids if r in (a, b)
             )
-            send_pos = {}
-            pair_arr = {}
-            for q in neighbors:
-                key = (min(r, q), max(r, q))
-                gs = pair_ids[key]
-                send_pos[q] = np.array([pos_of[g] for g in gs], dtype=np.intp)
-                pair_arr[q] = np.asarray(gs, dtype=np.int64)
-
-            # Group this rank's shared ids by their sharing-rank signature;
-            # precompute, per group, where each peer's contribution sits in
-            # that peer's exchange buffer.
-            by_sig: Dict[Tuple[int, ...], List[int]] = {}
-            for g in sorted(self.shared_ids):
-                rs = self.shared_ids[g]
-                if r in rs:
-                    by_sig.setdefault(tuple(rs), []).append(g)
-            groups = []
-            for sig, gs in by_sig.items():
-                gs_arr = np.asarray(gs, dtype=np.int64)
-                sel = np.array([pos_of[g] for g in gs], dtype=np.intp)
-                peer_idx = {
-                    q: np.searchsorted(pair_arr[q], gs_arr) for q in sig if q != r
-                }
-                groups.append((sig, sel, peer_idx))
-
+            pair_arr = {q: self._pair_ids[(min(r, q), max(r, q))] for q in neighbors}
+            send_pos = {q: np.searchsorted(uniq, pair_arr[q]) for q in neighbors}
+            # Per group, where each peer's contribution sits in that peer's
+            # exchange buffer.
+            groups = [
+                (
+                    sig,
+                    np.searchsorted(uniq, gs),
+                    {q: np.searchsorted(pair_arr[q], gs) for q in sig if q != r},
+                )
+                for sig, gs in groups_all
+                if r in sig
+            ]
             handles.append(
                 RankGS(
                     rank=r,
@@ -270,18 +296,25 @@ class GatherScatter:
         if len(values) != self.p:
             raise ValueError(f"expected {self.p} rank arrays, got {len(values)}")
 
-        vec_width = 1
+        widths = []
         for r, v in enumerate(values):
             v = np.asarray(v)
             base = self.local_shapes[r]
             if v.shape == base:
-                pass
+                widths.append(1)
             elif v.shape[: len(base)] == base and v.ndim == len(base) + 1:
-                vec_width = v.shape[-1]
+                widths.append(v.shape[-1])
             else:
                 raise ValueError(
                     f"rank {r}: value shape {v.shape} does not match ids {base}"
                 )
+        vec_width = widths[0]
+        odd = [r for r, w in enumerate(widths) if w != vec_width]
+        if odd:
+            raise ValueError(
+                f"ranks {odd} carry {widths[odd[0]]} components per value "
+                f"but rank 0 carries {vec_width}; all ranks must agree"
+            )
         if comm is not None and comm.p != self.p:
             raise ValueError("SimComm rank count does not match handle")
 

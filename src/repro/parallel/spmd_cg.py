@@ -40,7 +40,6 @@ from ..core.mesh import Mesh
 from ..core.operators import HelmholtzOperator
 from ..obs.telemetry import record_comm, record_solve
 from ..obs.trace import trace
-from ..perf.flops import add_flops
 from ..solvers.cg import SolveFailure
 from .comm import SimComm
 from .gs import GatherScatter, RankGS, gs_init, gs_op_rank
@@ -256,10 +255,23 @@ class DistributedSEMSolver:
         self._apply_flops_per_el = 4.0 * d * n1 ** (d + 1) + 15.0 * n1**d
 
         # Assembled diagonal for Jacobi (serial precompute; shared setup).
-        a_serial = Assembler.for_mesh(mesh)
-        dia = a_serial.dssum(self.op.diagonal())
+        self._assembler = Assembler.for_mesh(mesh)
+        dia = self._assembler.dssum(self.op.diagonal())
         dia = self.mask.apply(dia) + self.mask.constrained.astype(float)
         self._inv_dia = 1.0 / dia
+        # Per-rank program contexts, built once and reused by every solve.
+        handles = self.gs.rank_handles()
+        self._contexts = [
+            CGRankContext(
+                op=self._rank_ops[r],
+                gs=handles[r],
+                inv_mult=self._inv_mult[r],
+                inv_dia=self._inv_dia[e],
+                mask=self.mask.factor[e],
+                apply_flops=self._apply_flops_per_el * e.size,
+            )
+            for r, e in enumerate(self.rank_elems)
+        ]
 
     # ------------------------------------------------------------ primitives
     def _split(self, u: np.ndarray) -> List[np.ndarray]:
@@ -273,18 +285,16 @@ class DistributedSEMSolver:
 
     def rank_contexts(self) -> List[CGRankContext]:
         """Per-rank program contexts (picklable; built once, reused)."""
-        handles = self.gs.rank_handles()
-        return [
-            CGRankContext(
-                op=self._rank_ops[r],
-                gs=handles[r],
-                inv_mult=self._inv_mult[r],
-                inv_dia=self._inv_dia[self.rank_elems[r]],
-                mask=self.mask.factor[self.rank_elems[r]],
-                apply_flops=self._apply_flops_per_el * self.rank_elems[r].size,
-            )
-            for r in range(self.p)
-        ]
+        return self._contexts
+
+    def rank_args(self, f_local: np.ndarray, tol: float, maxiter: int) -> List[tuple]:
+        """Per-rank :func:`cg_rank_program` arguments for the RHS ``B f``.
+
+        The right-hand side is assembled serially, masked and split by rank.
+        """
+        rhs = self.mask.apply(self._assembler.dssum(self.op.mass.apply(f_local)))
+        parts = self._split(rhs)
+        return [(ctx, b, tol, maxiter) for ctx, b in zip(self._contexts, parts)]
 
     # ------------------------------------------------------------------ solve
     def solve(
@@ -308,13 +318,7 @@ class DistributedSEMSolver:
     def _solve(self, f_local, tol, maxiter, executor, timeout):
         from .exec import run_spmd
 
-        rhs = self.mask.apply(
-            Assembler.for_mesh(self.mesh).dssum(self.op.mass.apply(f_local))
-        )
-        b = self._split(rhs)
-        ctxs = self.rank_contexts()
-        rank_args = [(ctxs[r], b[r], tol, maxiter) for r in range(self.p)]
-
+        rank_args = self.rank_args(f_local, tol, maxiter)
         sim = SimComm(self.machine, self.p) if executor == "sim" else None
         run = run_spmd(
             cg_rank_program,
@@ -345,7 +349,6 @@ class DistributedSEMSolver:
             messages = int(merged["messages"])
             words = float(merged["words"])
 
-        add_flops(0.0)  # keep the counter import warm for instrumented runs
         record_solve(
             "spmd_cg",
             f"p{self.p}",

@@ -136,3 +136,228 @@ class TestAgainstSerialAssembler:
         h = gs_init(ids)
         # shared nodes across ranks is far less than all interface nodes
         assert 0 < h.n_shared < mesh.n_nodes / 4
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the dict-loop handle builder and the ``ufunc.at`` pre-reduce that
+# the array-built set-up and the ``bincount`` pre-reduce replaced.  Both must
+# be reproduced exactly (array-equal handles, bitwise-equal gs_op results).
+# ---------------------------------------------------------------------------
+def _dict_loop_pattern(local_ids):
+    """Reference set-up: (shared_ids, pair_counts, handles) by dict loops."""
+    from repro.parallel.gs import RankGS
+
+    p = len(local_ids)
+    flat = [np.asarray(ids).ravel() for ids in local_ids]
+    touch = {}
+    for r, ids in enumerate(flat):
+        for g in np.unique(ids):
+            touch.setdefault(int(g), []).append(r)
+    shared_ids = {g: rs for g, rs in touch.items() if len(rs) > 1}
+    pair_counts = {}
+    for g, rs in shared_ids.items():
+        for i in range(len(rs)):
+            for j in range(i + 1, len(rs)):
+                key = (rs[i], rs[j])
+                pair_counts[key] = pair_counts.get(key, 0) + 1
+
+    pair_ids = {}
+    for g in sorted(shared_ids):
+        rs = shared_ids[g]
+        for i in range(len(rs)):
+            for j in range(i + 1, len(rs)):
+                pair_ids.setdefault((rs[i], rs[j]), []).append(g)
+
+    handles = []
+    for r in range(p):
+        uniq, inv = np.unique(flat[r], return_inverse=True)
+        pos_of = {int(g): i for i, g in enumerate(uniq)}
+        neighbors = sorted((b if a == r else a) for (a, b) in pair_ids if r in (a, b))
+        send_pos, pair_arr = {}, {}
+        for q in neighbors:
+            gs = pair_ids[(min(r, q), max(r, q))]
+            send_pos[q] = np.array([pos_of[g] for g in gs], dtype=np.intp)
+            pair_arr[q] = np.asarray(gs, dtype=np.int64)
+        by_sig = {}
+        for g in sorted(shared_ids):
+            rs = shared_ids[g]
+            if r in rs:
+                by_sig.setdefault(tuple(rs), []).append(g)
+        groups = []
+        for sig, gs in by_sig.items():
+            gs_arr = np.asarray(gs, dtype=np.int64)
+            sel = np.array([pos_of[g] for g in gs], dtype=np.intp)
+            peer_idx = {q: np.searchsorted(pair_arr[q], gs_arr) for q in sig if q != r}
+            groups.append((sig, sel, peer_idx))
+        handles.append(RankGS(r, p, np.asarray(local_ids[r]).shape, uniq, inv,
+                              neighbors, send_pos, groups))
+    return shared_ids, pair_counts, handles
+
+
+def _add_at_gs_op_rank(comm, handle, value, op="+"):
+    """Reference rank program: the ``ufunc.at`` pre-reduce for every op."""
+    from repro.parallel.protocol import REDUCE_OPS
+
+    ufunc, init = REDUCE_OPS[op]
+    v = np.asarray(value, dtype=float)
+    vec_width = 1 if v.shape == handle.shape else v.shape[-1]
+    flat = v.reshape(-1, vec_width)
+    loc = np.full((handle.uniq.size, vec_width), init)
+    ufunc.at(loc, handle.inv, flat)
+    recv = {}
+    for q in handle.neighbors:
+        recv[q] = np.asarray(comm.exchange(q, loc[handle.send_pos[q]]))
+    res = loc.copy()
+    for ranks, sel, peer_idx in handle.groups:
+        acc = np.full((sel.size, vec_width), init)
+        for q in ranks:
+            acc = ufunc(acc, loc[sel] if q == handle.rank else recv[q][peer_idx[q]])
+        res[sel] = acc
+    out = res[handle.inv]
+    return out.reshape(handle.shape + ((vec_width,) if vec_width > 1 else ()))
+
+
+def _partitioned_ids(mesh, p):
+    import scipy.sparse as sp
+
+    if mesh.ndim == 2:
+        # A px x py block partition: on a doubly periodic mesh the domain
+        # corners are one id, shared by four ranks once px, py >= 2.
+        px, py = {1: (1, 1), 2: (2, 1), 4: (2, 2), 8: (4, 2)}[p]
+        c = mesh.element_centroids()
+        part = (np.minimum((c[:, 0] * px).astype(int), px - 1)
+                + px * np.minimum((c[:, 1] * py).astype(int), py - 1))
+    elif p == 1:
+        part = np.zeros(mesh.K, dtype=np.int64)
+    else:
+        part = recursive_spectral_bisection(
+            sp.csr_matrix(mesh.element_adjacency()), p, coords=mesh.element_centroids()
+        )
+    return part, [mesh.global_ids[part == r] for r in range(p)]
+
+
+def _assert_handles_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.rank, a.size, a.shape) == (b.rank, b.size, b.shape)
+        for name in ("uniq", "inv"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert a.neighbors == b.neighbors
+        assert all(type(q) is int for q in a.neighbors)
+        assert list(a.send_pos) == list(b.send_pos)
+        for q in b.send_pos:
+            assert a.send_pos[q].dtype == b.send_pos[q].dtype
+            assert np.array_equal(a.send_pos[q], b.send_pos[q])
+        assert [g[0] for g in a.groups] == [g[0] for g in b.groups]
+        for (_, sel_a, pi_a), (sig, sel_b, pi_b) in zip(a.groups, b.groups):
+            assert all(type(q) is int for q in sig)
+            assert sel_a.dtype == sel_b.dtype and np.array_equal(sel_a, sel_b)
+            assert list(pi_a) == list(pi_b)
+            for q in pi_b:
+                assert pi_a[q].dtype == pi_b[q].dtype
+                assert np.array_equal(pi_a[q], pi_b[q])
+
+
+def _oracle_meshes():
+    from repro.core.mesh import box_mesh_3d
+
+    return {
+        "box3d": box_mesh_3d(3, 3, 3, 3),
+        "periodic2d": box_mesh_2d(4, 4, 3, periodic=(True, True)),
+    }
+
+
+class TestArrayBuiltPatternMatchesDictLoops:
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    @pytest.mark.parametrize("which", ["box3d", "periodic2d"])
+    def test_rank_handles_equal(self, which, p):
+        mesh = _oracle_meshes()[which]
+        _, ids = _partitioned_ids(mesh, p)
+        h = gs_init(ids)
+        shared_ids, pair_counts, want = _dict_loop_pattern(ids)
+        assert h.n_shared == len(shared_ids)
+        assert h.pair_counts == pair_counts
+        ref_vol = np.zeros(p, dtype=np.int64)
+        ref_cnt = np.zeros(p, dtype=np.int64)
+        for (a, b), c in pair_counts.items():
+            ref_vol[[a, b]] += c
+            ref_cnt[[a, b]] += 1
+        assert h.max_rank_volume() == int(ref_vol.max())
+        assert np.array_equal(h.neighbor_counts(), ref_cnt)
+        _assert_handles_equal(h.rank_handles(), want)
+
+    def test_periodic_corners_shared_by_four_ranks(self):
+        mesh = _oracle_meshes()["periodic2d"]
+        _, ids = _partitioned_ids(mesh, 4)
+        sigs = [g[0] for h in gs_init(ids).rank_handles() for g in h.groups]
+        assert (0, 1, 2, 3) in sigs
+
+    def test_irregular_ids_and_no_sharing(self):
+        ids = [np.array([[5, 9], [9, 2]]), np.array([7, 5, 11]),
+               np.array([2, 5, 7, 7]), np.array([13])]
+        h = gs_init(ids)
+        shared_ids, pair_counts, want = _dict_loop_pattern(ids)
+        assert h.n_shared == len(shared_ids) == 3
+        assert h.pair_counts == pair_counts
+        _assert_handles_equal(h.rank_handles(), want)
+        solo = gs_init([np.array([3, 1, 3])])
+        assert solo.n_shared == 0 and solo.pair_counts == {}
+        _assert_handles_equal(solo.rank_handles(),
+                              _dict_loop_pattern([np.array([3, 1, 3])])[2])
+
+
+class TestBincountPreReduceMatchesAddAt:
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("which", ["box3d", "periodic2d"])
+    def test_sum_bitwise(self, which, width, p):
+        from repro.parallel.exec.sim import run_sim
+
+        mesh = _oracle_meshes()[which]
+        part, ids = _partitioned_ids(mesh, p)
+        rng = np.random.default_rng(7 + p + width)
+        u = rng.standard_normal(mesh.local_shape + ((width,) if width > 1 else ()))
+        vals = [u[part == r] for r in range(p)]
+        h = gs_init(ids)
+        got = h.gs_op(vals, "+")
+        want, _ = run_sim(_add_at_gs_op_rank,
+                          [(hr, v, "+") for hr, v in zip(h.rank_handles(), vals)],
+                          SimComm(M, p))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("op", ["*", "max", "min"])
+    def test_other_ops_unchanged(self, op):
+        from repro.parallel.exec.sim import run_sim
+
+        mesh = _oracle_meshes()["periodic2d"]
+        part, ids = _partitioned_ids(mesh, 4)
+        rng = np.random.default_rng(3)
+        u = 1.0 + 0.1 * rng.standard_normal(mesh.local_shape + (2,))
+        vals = [u[part == r] for r in range(4)]
+        h = gs_init(ids)
+        want, _ = run_sim(_add_at_gs_op_rank,
+                          [(hr, v, op) for hr, v in zip(h.rank_handles(), vals)],
+                          SimComm(M, 4))
+        for a, b in zip(h.gs_op(vals, op), want):
+            assert np.array_equal(a, b)
+
+    def test_signed_zeros_match(self):
+        h = gs_init([np.array([0, 0, 1]), np.array([1, 2])])
+        vals = [np.array([-0.0, -0.0, -0.0]), np.array([-0.0, -0.0])]
+        out = h.gs_op(vals)
+        assert not np.signbit(out[0]).any() and not np.signbit(out[1]).any()
+
+
+class TestComponentWidthCheck:
+    def test_mixed_widths_rejected_before_any_rank_runs(self):
+        h = two_rank_handle()
+        with pytest.raises(ValueError, match=r"ranks \[1\].*rank 0"):
+            h.gs_op([np.zeros(4), np.zeros((4, 3))])
+
+    def test_two_different_vector_widths_rejected(self):
+        h = two_rank_handle()
+        with pytest.raises(ValueError, match="components"):
+            h.gs_op([np.zeros((4, 2)), np.zeros((4, 3))])
