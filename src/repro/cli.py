@@ -245,7 +245,7 @@ def _cmd_spmd(args) -> int:
     from repro.core.mesh import box_mesh_2d
     from repro.parallel.exec import EXECUTORS
     from repro.parallel.machine import ASCI_RED_333, LOCALHOST_MP
-    from repro.parallel.spmd_cg import DistributedSEMSolver, cg_rank_program
+    from repro.parallel.spmd_cg import DistributedSEMSolver
 
     if args.executor not in EXECUTORS:
         print(f"unknown executor {args.executor!r} "
@@ -273,36 +273,24 @@ def _cmd_spmd(args) -> int:
     rng = np.random.default_rng(spec.seed)
     f = rng.standard_normal(mesh.local_shape)
 
-    # Run the rank program directly so the SPMDRunResult (per-rank stats,
-    # merged phases, worker trace regions) is in hand for the report.
-    from repro.parallel.exec import run_spmd
-
-    run = run_spmd(
-        cg_rank_program,
-        solver.rank_args(f, spec.config.tol, spec.config.maxiter),
-        ranks=args.ranks,
-        executor=args.executor,
-        machine=machine,
-        timeout=args.timeout,
-    )
-    r0 = run.results[0]
+    res = solver.solve(f, tol=spec.config.tol, maxiter=spec.config.maxiter,
+                       executor=args.executor, timeout=args.timeout)
     print(f"spmd cg: K={mesh.K} N={mesh.order} ranks={args.ranks} "
           f"executor={args.executor}")
-    print(f"  {r0['iterations']} iterations, converged={r0['converged']}, "
-          f"residual {r0['residual_norm']:.3e}")
-    print(f"  wall {run.wall_seconds:.4f}s, alpha-beta model "
-          f"{run.modeled_seconds:.4e}s")
-    merged = run.merged
+    print(f"  {res.iterations} iterations, converged={res.converged}, "
+          f"residual {res.residual_norm:.3e}")
+    print(f"  wall {res.wall_seconds:.4f}s, alpha-beta model "
+          f"{res.simulated_seconds:.4e}s")
     print(f"  {'phase':<12} {'calls':>7} {'messages':>9} {'words':>12} "
           f"{'measured(s)':>12} {'modeled(s)':>12}")
-    for kind, row in merged["phases"].items():
+    for kind, row in res.phases.items():
         print(f"  {kind:<12} {row['calls']:>7d} {row['messages']:>9d} "
               f"{row['words']:>12.0f} {row['measured_seconds_max']:>12.4e} "
               f"{row['modeled_seconds_max']:>12.4e}")
 
-    rc = 0 if r0["converged"] else 1
+    rc = 0 if res.converged else 1
     if args.out:
-        doc = obs.report_json(meta=spec.as_dict(), spmd=run.report_section())
+        doc = obs.report_json(meta=spec.as_dict(), spmd=res.report_section)
         obs.validate_report(doc)
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

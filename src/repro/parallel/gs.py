@@ -129,9 +129,7 @@ def gs_op_rank(comm: Comm, handle: RankGS, value: np.ndarray, op: str = "+"):
                 acc = ufunc(acc, contrib)
             res[sel] = acc
 
-    out = res[handle.inv]
-    shape = base + ((vec_width,) if vec_width > 1 else ())
-    return out.reshape(shape)
+    return res[handle.inv].reshape(v.shape)
 
 
 class GatherScatter:

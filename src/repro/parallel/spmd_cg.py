@@ -6,10 +6,14 @@ computation proceeds in a loosely synchronous manner ... the principal
 communication kernel is the gather-scatter operation required for the
 residual vector assembly."
 
-Since the comm-protocol refactor the solver core is
-:func:`cg_rank_program` — a true per-rank SPMD program written against the
-abstract :class:`~repro.parallel.protocol.Comm` protocol.  The *same
-program text* runs on
+The solver core is :func:`cg_rank_program`, a per-rank SPMD program
+written against the abstract :class:`~repro.parallel.protocol.Comm`
+protocol.  It has no Krylov loop of its own: it runs the serial
+:func:`~repro.solvers.cg.pcg` over three rank closures (masked local apply
+plus gather-scatter, a weighted local dot plus allreduce, Jacobi), and
+charges the rank's clock from the ``add_flops`` tally of that work — the
+same counters serial code reports (the paper's Section 7 flop counts).
+The *same program text* runs on
 
 * the simulated substrate (virtual alpha-beta clocks, the cost model
   behind Table 4's communication terms), and
@@ -40,12 +44,12 @@ from ..core.mesh import Mesh
 from ..core.operators import HelmholtzOperator
 from ..obs.telemetry import record_comm, record_solve
 from ..obs.trace import trace
-from ..solvers.cg import SolveFailure
-from .comm import SimComm
+from ..perf.flops import add_flops, attributing
+from ..solvers.cg import SolveFailure, pcg
 from .gs import GatherScatter, RankGS, gs_init, gs_op_rank
 from .machine import Machine
 from .partition import recursive_spectral_bisection
-from .protocol import Comm, merge_stats
+from .protocol import Comm
 
 __all__ = [
     "DistributedSEMSolver",
@@ -76,22 +80,19 @@ class CGRankContext:
     inv_mult: np.ndarray  #: 1/multiplicity for the unique-dof inner product
     inv_dia: np.ndarray  #: Jacobi preconditioner diagonal (this rank's slice)
     mask: np.ndarray  #: Dirichlet mask factor (this rank's slice)
-    apply_flops: float  #: flop charge of one local operator application
 
 
-def _dot(comm: Comm, ctx: CGRankContext, a: np.ndarray, b: np.ndarray) -> float:
-    """Unique-dof inner product: local weighted sum + rank-order allreduce."""
-    local = float(np.sum(a * b * ctx.inv_mult))
-    comm.compute(3.0 * a.size, mxm_fraction=0.0)
-    return comm.allreduce(local, "+")
+class _ClockCharge:
+    """Flop counter that charges each tallied flop to the rank's clock:
+    ``mxm`` flops at the machine's mxm rate, every other category at its
+    ``other`` rate.  Under :func:`~repro.perf.flops.attributing` the clock
+    is fed by the same ``add_flops`` tally serial code reports."""
 
+    def __init__(self, comm: Comm):
+        self.comm = comm
 
-def _matvec(comm: Comm, ctx: CGRankContext, v: np.ndarray) -> np.ndarray:
-    """Masked assembled operator: local apply + gather-scatter assembly."""
-    w = ctx.op.apply(v)
-    comm.compute(ctx.apply_flops, mxm_fraction=0.95)
-    w = gs_op_rank(comm, ctx.gs, w, "+")
-    return w * ctx.mask
+    def add(self, n: float, category: str = "mxm") -> None:
+        self.comm.compute(n, mxm_fraction=float(category == "mxm"))
 
 
 def cg_rank_program(
@@ -101,65 +102,38 @@ def cg_rank_program(
     tol: float = 1e-8,
     maxiter: int = 2000,
 ) -> Dict[str, Any]:
-    """Jacobi-PCG, one rank's view.  Runs unmodified on every substrate.
+    """Jacobi-PCG, one rank's view: serial :func:`~repro.solvers.cg.pcg`
+    over rank closures.  Runs unmodified on every substrate.
 
-    All ranks follow the identical scalar recurrence (every scalar is the
-    result of an allreduce), so control flow stays loosely synchronous
-    without any extra coordination.  Returns this rank's solution block
-    plus the (globally identical) iteration metadata and residual history.
-
-    A non-finite right-hand side or a non-finite / non-positive ``p·Ap``
-    raises :class:`~repro.solvers.cg.SolveFailure`, as serial ``pcg`` does.  The
-    tested scalars are allreduced, so every rank raises at the same point
-    and no peer is left waiting.
+    The matvec is the local operator apply plus the gather-scatter
+    assembly, the inner product a local weighted sum plus a rank-order
+    allreduce.  Every scalar of the recurrence is an allreduce result, so
+    all ranks follow the same control flow, and a breakdown raises
+    :class:`~repro.solvers.cg.SolveFailure` (label ``"spmd_cg"``) on every
+    rank at the same point.  Returns this rank's solution block plus the
+    (globally identical) iteration metadata and residual history.
     """
-    with comm.trace("spmd_cg"):
-        x = np.zeros_like(b)
-        r = b.copy()
-        z = r * ctx.inv_dia
-        p_dir = z.copy()
-        rz = _dot(comm, ctx, r, z)
-        rr = _dot(comm, ctx, r, r)
-        if not np.isfinite(rr):
-            raise SolveFailure(
-                "distributed PCG received a non-finite right-hand side",
-                "spmd_cg", 0, [rr],
-            )
-        norm_r = float(np.sqrt(max(rr, 0.0)))
-        history = [norm_r]
-        it = 0
-        converged = norm_r <= tol
-        while not converged and it < maxiter:
-            ap = _matvec(comm, ctx, p_dir)
-            pap = _dot(comm, ctx, p_dir, ap)
-            if not np.isfinite(pap) or pap <= 0:
-                raise SolveFailure(
-                    f"distributed PCG breakdown: p^T A p = {pap:.3e} "
-                    f"at iteration {it + 1}",
-                    "spmd_cg", it + 1, history,
-                )
-            alpha = rz / pap
-            x += alpha * p_dir
-            r -= alpha * ap
-            comm.compute(4.0 * x.size, mxm_fraction=0.0)
-            norm_r = float(np.sqrt(max(_dot(comm, ctx, r, r), 0.0)))
-            history.append(norm_r)
-            it += 1
-            if norm_r <= tol:
-                converged = True
-                break
-            z = r * ctx.inv_dia
-            rz_new = _dot(comm, ctx, r, z)
-            beta = rz_new / rz
-            rz = rz_new
-            p_dir = z + beta * p_dir
-            comm.compute(2.0 * z.size, mxm_fraction=0.0)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        return gs_op_rank(comm, ctx.gs, ctx.op.apply(v), "+") * ctx.mask
+
+    def dot(u: np.ndarray, v: np.ndarray) -> float:
+        add_flops(3 * u.size, "dot")
+        return comm.allreduce(float(np.sum(u * v * ctx.inv_mult)), "+")
+
+    with comm.trace("spmd_cg"), attributing(_ClockCharge(comm)):
+        try:
+            res = pcg(matvec, b, dot=dot, precond=lambda r: r * ctx.inv_dia,
+                      tol=tol, maxiter=maxiter)
+        except SolveFailure as exc:
+            exc.label = "spmd_cg"
+            raise
     return {
-        "x": x,
-        "iterations": it,
-        "converged": bool(converged),
-        "residual_norm": norm_r,
-        "history": history,
+        "x": res.x,
+        "iterations": res.iterations,
+        "converged": res.converged,
+        "residual_norm": res.residual_norm,
+        "history": res.residual_history,
     }
 
 
@@ -183,6 +157,8 @@ class DistributedSolveResult:
     history: List[float] = field(default_factory=list)
     #: merged measured-vs-modeled phase table (see ``merge_stats``)
     phases: Dict[str, Any] = field(default_factory=dict)
+    #: the run as an obs-report ``spmd`` section (``SPMDRunResult.report_section``)
+    report_section: Dict[str, Any] = field(default_factory=dict)
 
 
 class DistributedSEMSolver:
@@ -249,11 +225,6 @@ class DistributedSEMSolver:
         mult = self.gs.gs_op(ones, "+")
         self._inv_mult = [1.0 / m for m in mult]
 
-        # Per-element flop cost of one operator application (Eq. 4 count).
-        n1 = mesh.n1
-        d = mesh.ndim
-        self._apply_flops_per_el = 4.0 * d * n1 ** (d + 1) + 15.0 * n1**d
-
         # Assembled diagonal for Jacobi (serial precompute; shared setup).
         self._assembler = Assembler.for_mesh(mesh)
         dia = self._assembler.dssum(self.op.diagonal())
@@ -268,7 +239,6 @@ class DistributedSEMSolver:
                 inv_mult=self._inv_mult[r],
                 inv_dia=self._inv_dia[e],
                 mask=self.mask.factor[e],
-                apply_flops=self._apply_flops_per_el * e.size,
             )
             for r, e in enumerate(self.rank_elems)
         ]
@@ -283,11 +253,7 @@ class DistributedSEMSolver:
             out[e] = v
         return out
 
-    def rank_contexts(self) -> List[CGRankContext]:
-        """Per-rank program contexts (picklable; built once, reused)."""
-        return self._contexts
-
-    def rank_args(self, f_local: np.ndarray, tol: float, maxiter: int) -> List[tuple]:
+    def _rank_args(self, f_local: np.ndarray, tol: float, maxiter: int) -> List[tuple]:
         """Per-rank :func:`cg_rank_program` arguments for the RHS ``B f``.
 
         The right-hand side is assembled serially, masked and split by rank.
@@ -318,63 +284,40 @@ class DistributedSEMSolver:
     def _solve(self, f_local, tol, maxiter, executor, timeout):
         from .exec import run_spmd
 
-        rank_args = self.rank_args(f_local, tol, maxiter)
-        sim = SimComm(self.machine, self.p) if executor == "sim" else None
         run = run_spmd(
             cg_rank_program,
-            rank_args,
+            self._rank_args(f_local, tol, maxiter),
             ranks=self.p,
             executor=executor,
             machine=self.machine,
-            simcomm=sim,
             timeout=timeout,
         )
-        merged = run.merged
+        section = run.report_section()
         r0 = run.results[0]
         it = int(r0["iterations"])
         converged = bool(r0["converged"])
         norm_r = float(r0["residual_norm"])
-
-        if executor == "sim":
-            rep = sim.report()
-            simulated = rep["elapsed"]
-            compute_max = rep["compute_max"]
-            comm_max = rep["comm_max"]
-            messages = int(rep["messages"])
-            words = float(rep.get("words", 0.0))
-        else:
-            simulated = run.modeled_seconds
-            compute_max = merged["compute_seconds_max"]
-            comm_max = merged["comm_seconds_max"]
-            messages = int(merged["messages"])
-            words = float(merged["words"])
-
-        record_solve(
-            "spmd_cg",
-            f"p{self.p}",
-            it,
-            converged,
-            final_residual=float(norm_r),
-        )
+        record_solve("spmd_cg", f"p{self.p}", it, converged, final_residual=norm_r)
         record_comm(
             "spmd_cg",
             f"p{self.p}",
-            messages,
-            words,
-            simulated_seconds=simulated,
-            comm_seconds=comm_max,
+            section["messages"],
+            section["words"],
+            simulated_seconds=run.modeled_seconds,
+            comm_seconds=section["comm_seconds_max"],
         )
         return DistributedSolveResult(
             x=self._merge([r["x"] for r in run.results]),
             iterations=it,
             converged=converged,
             residual_norm=norm_r,
-            simulated_seconds=simulated,
-            compute_seconds=compute_max,
-            comm_seconds=comm_max,
-            messages=messages,
+            simulated_seconds=run.modeled_seconds,
+            compute_seconds=section["compute_seconds_max"],
+            comm_seconds=section["comm_seconds_max"],
+            messages=section["messages"],
             executor=executor,
             wall_seconds=run.wall_seconds,
             history=list(r0["history"]),
-            phases=merged["phases"],
+            phases=section["phases"],
+            report_section=section,
         )

@@ -1,12 +1,18 @@
 """Tests for the SPMD distributed CG solver on the simulated machine."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.mesh import box_mesh_2d, box_mesh_3d
 from repro.core.operators import build_helmholtz_system
+from repro.parallel.exec import SPMDWorkerError, run_spmd
 from repro.parallel.machine import ASCI_RED_333, Machine
-from repro.parallel.spmd_cg import DistributedSEMSolver
+from repro.parallel.spmd_cg import DistributedSEMSolver, cg_rank_program
+from repro.perf.flops import counting
 from repro.solvers.cg import SolveFailure, pcg
 from repro.solvers.jacobi import jacobi_preconditioner
 
@@ -68,6 +74,38 @@ class TestCorrectness:
             solver.solve(f, tol=1e-10, executor="sim")
         assert info.value.label == "spmd_cg"
 
+    def test_breakdown_raises_solve_failure(self):
+        # h1 < 0 makes A negative definite: p.Ap < 0 at the first iteration.
+        mesh = box_mesh_2d(4, 4, 4)
+        f = mesh.eval_function(lambda x, y: x + y)
+        solver = DistributedSEMSolver(mesh, M, 2, h1=-1.0)
+        with pytest.raises(SolveFailure, match="breakdown") as info:
+            solver.solve(f, executor="sim")
+        assert info.value.label == "spmd_cg"
+        assert info.value.iterations == 1
+
+    def test_breakdown_on_mp_leaves_no_residue(self):
+        mesh = box_mesh_2d(4, 4, 4)
+        f = mesh.eval_function(lambda x, y: x + y)
+        solver = DistributedSEMSolver(mesh, M, 2, h1=-1.0)
+        before = len(multiprocessing.active_children())
+        with pytest.raises(SPMDWorkerError, match="SolveFailure: .*breakdown"):
+            solver.solve(f, executor="mp", timeout=120)
+        assert len(multiprocessing.active_children()) <= before
+        if os.path.isdir("/dev/shm"):  # run_mp's default segment prefix
+            prefix = f"repro-mp-{os.getpid()}-"
+            assert not [n for n in os.listdir("/dev/shm") if n.startswith(prefix)]
+
+    def test_obs_records_one_solve_not_one_per_rank(self):
+        mesh = box_mesh_2d(4, 4, 4)
+        f = mesh.eval_function(lambda x, y: x * y)
+        solver = DistributedSEMSolver(mesh, M, 2, h1=1.0, h0=1.0)
+        obs.enable()
+        res = solver.solve(f, tol=1e-8, executor="sim")
+        (rec,) = obs.telemetry.solves
+        assert (rec.solver, rec.label) == ("spmd_cg", "p2")
+        assert rec.iterations == res.iterations and rec.converged
+
     def test_too_many_ranks_rejected(self):
         mesh = box_mesh_2d(2, 2, 3)
         with pytest.raises(ValueError):
@@ -75,6 +113,20 @@ class TestCorrectness:
 
 
 class TestCostAccounting:
+    def test_clock_charged_from_flop_tally(self):
+        # Every flop the rank tallies with add_flops reaches its clock; the
+        # gather-scatter pre-reduce (b.size per matvec) is charged directly.
+        mesh = box_mesh_2d(4, 4, 5)
+        f = mesh.eval_function(lambda x, y: np.sin(3 * x + y))
+        solver = DistributedSEMSolver(mesh, M, 1, h1=1.0, h0=1.0)
+        args = solver._rank_args(f, 1e-8, 500)
+        with counting() as fc:
+            run = run_spmd(cg_rank_program, args, ranks=1, executor="sim", machine=M)
+        its = run.results[0]["iterations"]
+        assert its > 0
+        b = args[0][1]
+        assert run.stats[0].compute_flops == fc.total() + its * b.size
+
     def test_comm_costs_grow_with_p(self):
         mesh = box_mesh_2d(4, 4, 5)
         f = mesh.eval_function(lambda x, y: np.sin(3 * x + y))

@@ -54,20 +54,22 @@ class TestGsParity:
     def test_gs_vector_mode_parity(self):
         mesh = box_mesh_2d(3, 3, 4)
         rng = np.random.default_rng(5)
-        u = rng.standard_normal(mesh.local_shape + (2,))
         p = 2
         part = recursive_spectral_bisection(
             sp.csr_matrix(mesh.element_adjacency()), p
         )
         ids = [mesh.global_ids[part == r] for r in range(p)]
-        vals = [u[part == r] for r in range(p)]
         handles = gs_init(ids).rank_handles()
-        args = [(handles[r], vals[r], "+") for r in range(p)]
-        sim = run_spmd(gs_op_rank, args, ranks=p, executor="sim")
-        mp = run_spmd(gs_op_rank, args, ranks=p, executor="mp", timeout=120)
-        for a, b in zip(sim.results, mp.results):
-            assert a.shape[-1] == 2
-            assert np.array_equal(a, b)
+        # width 1: an (n..., 1) input must come back as (n..., 1), not (n...)
+        for width in (2, 1):
+            u = rng.standard_normal(mesh.local_shape + (width,))
+            vals = [u[part == r] for r in range(p)]
+            args = [(handles[r], vals[r], "+") for r in range(p)]
+            sim = run_spmd(gs_op_rank, args, ranks=p, executor="sim")
+            mp = run_spmd(gs_op_rank, args, ranks=p, executor="mp", timeout=120)
+            for a, b, v in zip(sim.results, mp.results, vals):
+                assert a.shape == v.shape
+                assert np.array_equal(a, b)
 
 
 class TestCgParity:
