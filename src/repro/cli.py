@@ -540,8 +540,8 @@ def main(argv=None) -> int:
     pw.add_argument("--runs", type=int, default=12,
                     help="number of runs to submit (variant rows cycle)")
     pw.add_argument("--workers", type=int, default=1,
-                    help="worker threads (measured: >1 only breaks even "
-                         "at K >= 1536)")
+                    help="worker processes; runs sharing a cache key "
+                         "stay on one worker (1 = inline)")
     pw.add_argument("--level", type=int, default=0, choices=[0, 1, 2])
     pw.add_argument("--order", type=int, default=7)
     pw.add_argument("--out", default=None,
@@ -560,7 +560,7 @@ def main(argv=None) -> int:
     pv = sub.add_parser("serve", help="JSON-lines run service: RunSpec "
                                       "documents on stdin, results on stdout")
     pv.add_argument("--workers", type=int, default=1,
-                    help="worker threads (see sweep --workers)")
+                    help="worker processes (see sweep --workers)")
     args = parser.parse_args(argv)
     if args.backend is not None:
         from repro import backends as _backends

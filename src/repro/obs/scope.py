@@ -3,9 +3,10 @@
 The trace/telemetry/flop layers default to process-global state — the
 right thing for one run per process, and the reason a single ``enable()``
 lights up the whole library.  The service layer (:mod:`repro.service`)
-runs *many* solver runs concurrently on worker threads, and their
-instrumentation must not interleave: each run wants its own region tree,
-its own telemetry sink, and an exact per-run flop tally.
+runs *many* solver runs in one process (inline, or one after another in
+each worker process), and their instrumentation must not interleave:
+each run wants its own region tree, its own telemetry sink, and an exact
+per-run flop tally — and any thread may run its own scope.
 
 :func:`run_scope` is that isolation boundary.  Entering it installs, for
 the **calling thread only**:

@@ -364,6 +364,19 @@ def _start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
+def _reap(procs: Sequence[Any], timeout: float = 5.0) -> None:
+    """Terminate, join, and as a last resort kill ``procs`` (the orphan
+    guard shared with :class:`repro.service.Session`)."""
+    for proc in procs:
+        if proc.is_alive():
+            proc.terminate()
+    for proc in procs:
+        proc.join(timeout=timeout)
+        if proc.is_alive():  # pragma: no cover - last resort
+            proc.kill()
+            proc.join(timeout=timeout)
+
+
 def run_mp(
     program,
     rank_args: Sequence[tuple],
@@ -441,14 +454,7 @@ def run_mp(
         rc.close()  # parent keeps only the read ends
 
     def _cleanup() -> None:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - last resort
-                proc.kill()
-                proc.join(timeout=5.0)
+        _reap(procs)
         # Reclaim segments a terminated worker created but nobody unlinked
         # (the receiver owns the unlink on the happy path).
         _sweep_shm(shm_prefix)

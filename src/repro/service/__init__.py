@@ -1,17 +1,20 @@
 """Many-run solver service (the Session API).
 
-One process, many solver runs: a :class:`Session` executes
-:class:`~repro.api.RunSpec` runs while sharing the amortizable state
-between them —
+A :class:`Session` executes :class:`~repro.api.RunSpec` runs while
+sharing the amortizable state between them —
 
 * :class:`FactorCache` — cross-run factorization/operator cache with
-  content-hash keys and LRU byte-cap eviction (:mod:`repro.service.cache`);
+  content-hash keys, LRU byte-cap eviction and build-time telemetry
+  (:mod:`repro.service.cache`);
 * :class:`ProjectorPool` — opt-in cross-run successive-RHS projection
   reuse (:mod:`repro.service.session`).
 
-The cache is what pays.  The worker pool is threads and is measured at
-0.3x / 0.8x / 1.0-1.3x a sequential loop (K = 96 / 384 / 1536, 2 cores),
-so ``workers`` defaults to 1; process workers are the open item.
+``Session(workers=1)`` runs inline in the caller.  ``workers=n`` forks n
+worker processes, each with its own copy of the cache and its own
+projector pool, and routes every run by its content key (the spec without
+seed, label and tags), so runs that share factors land on one worker.
+A worker that dies or a result that does not pickle fails only its own
+runs, with a :class:`ServiceWorkerError`.
 
 Workloads are named runners (:mod:`repro.service.runners`); per-run
 observability rides on :func:`repro.obs.run_scope`.  See docs/SERVICE.md.
@@ -25,11 +28,12 @@ from .cache import (
     mesh_signature,
 )
 from .runners import RunContext, execute, get_runner, register, runner_names
-from .session import ProjectorPool, RunResult, Session
+from .session import ProjectorPool, RunResult, ServiceWorkerError, Session
 
 __all__ = [
     "Session",
     "RunResult",
+    "ServiceWorkerError",
     "ProjectorPool",
     "FactorCache",
     "CacheStats",

@@ -13,18 +13,22 @@ pin everything the artifact depends on — for mesh-derived objects that is
 a :func:`mesh_signature` (a content hash of coordinates, connectivity,
 periodicity, and order, so a deformed mesh never collides with the
 rectilinear mesh of the same shape).  Values are whatever the builder
-returns (preconditioners, operators, meshes); sharing them across worker
-threads is safe because all hot-path scratch lives in per-thread
-:class:`~repro.backends.base.Workspace` pools.
+returns (preconditioners, operators, meshes).  The cache is thread-safe:
+sharing values across threads is safe because all hot-path scratch lives
+in per-thread :class:`~repro.backends.base.Workspace` pools.  A
+:class:`~repro.service.Session` with process workers gives each worker a
+fork-time copy of its cache, so a value is built in each worker that
+needs it.
 
-Eviction is LRU under an optional byte cap, with hit/miss/eviction
-telemetry surfaced in the service report section.
+Eviction is LRU under an optional byte cap, with hit/miss/eviction and
+build-time telemetry surfaced in the service report section.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
@@ -121,11 +125,17 @@ def estimate_nbytes(obj: Any, _seen: Optional[set] = None, _depth: int = 0) -> i
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction telemetry for one :class:`FactorCache`."""
+    """Hit/miss/eviction telemetry for one :class:`FactorCache`.
+
+    ``build_seconds`` is the wall time spent inside builders.  A builder
+    that calls :meth:`FactorCache.get` for another key includes that inner
+    build, which is also counted on its own.
+    """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
+    build_seconds: float = 0.0
 
     @property
     def hit_rate(self) -> float:
@@ -193,7 +203,13 @@ class FactorCache:
                         self._entries.move_to_end(key)
                         self.stats.hits += 1
                         return entry.value
-                value = builder()
+                t0 = time.perf_counter()
+                try:
+                    value = builder()
+                finally:
+                    dt = time.perf_counter() - t0
+                    with self._lock:
+                        self.stats.build_seconds += dt
                 size = int(nbytes) if nbytes is not None else estimate_nbytes(value)
                 with self._lock:
                     self.stats.misses += 1
@@ -255,4 +271,16 @@ class FactorCache:
             "hit_rate": float(self.stats.hit_rate),
             "entries": len(self),
             "bytes": int(self.nbytes),
+            "build_seconds": float(self.stats.build_seconds),
         }
+
+    # Locks do not pickle: a spawned Session worker gets fresh ones.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_lock"], state["_building"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+        self._building = {}

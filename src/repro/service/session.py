@@ -1,4 +1,4 @@
-"""The many-run solver service: ``Session`` and its worker pool.
+"""The many-run solver service: ``Session`` and its process workers.
 
 A :class:`Session` executes many :class:`~repro.api.RunSpec` runs while
 sharing the two amortizable assets the runs would otherwise each rebuild:
@@ -20,31 +20,58 @@ service's streamed telemetry.  :meth:`Session.summary` aggregates
 throughput and cache hit rates into the report schema's ``service``
 section.
 
-The pool is worker *threads*, and the measurement is that it does not pay:
-the solves are short numpy calls under the GIL, and ``Session(workers=2)``
-ran at 0.3x / 0.8x / 1.0-1.3x the rate of a sequential loop on the same
-cache at K = 96 / 384 / 1536 on 2 cores.  Hence ``workers=1`` by default —
-the cache is the part that pays.  Process workers with cache-key affinity
-are the open item (ROADMAP item 2).
+With ``workers=1`` (the default) runs execute inline in the caller.  With
+``workers > 1`` they execute on forked worker *processes* — the paper's
+distributed-memory model (Section 6), where each rank owns its data —
+because threads do not pay here: the solves are short numpy calls under
+the GIL.  Runs are routed by cache-key affinity: a run's content key is
+its spec without ``seed``, ``label`` and ``tags``, and the first run of
+each key goes to the next worker in round-robin order, later runs of that
+key to the same worker.  Runs that share factors therefore share one
+worker's cache while the keys stay spread over the pool.  Each worker
+holds its own ``FactorCache`` (a fork-time copy of the session's, so it
+also inherits the kernel tuner's table) and its own ``ProjectorPool``.
+
+Accounting crosses the process boundary: each :class:`RunResult` carries
+its run's per-category flop tally, which the parent adds to its own
+counter (so :func:`repro.perf.flops.counting` around a session sees the
+workers' work), and the summary's cache block sums the workers' caches.
+A worker that dies fails only the runs routed to it, with a typed
+:class:`ServiceWorkerError`; its slot is re-forked for the next run.
 """
 
 from __future__ import annotations
 
-import queue
+import json
+import multiprocessing as _mp
+import multiprocessing.connection as _mpc
+import pickle
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..api import RunSpec
+from ..parallel.exec.mp import _reap, _start_method
+from ..perf.flops import add_flops
 from ..solvers.projection import SolutionProjector
-from .cache import FactorCache
+from .cache import CacheStats, FactorCache
 from .runners import RunContext, get_runner
 
-__all__ = ["Session", "RunResult", "ProjectorPool"]
+__all__ = ["Session", "RunResult", "ProjectorPool", "ServiceWorkerError"]
+
+#: runs sent ahead to one worker; the rest wait in the parent, so a pipe
+#: never fills in both directions at once.
+_IN_FLIGHT = 2
+
+
+class ServiceWorkerError(RuntimeError):
+    """A run's outcome could not come back from its worker process: the
+    worker died, or the run's result does not pickle."""
 
 
 @dataclass
@@ -57,6 +84,8 @@ class RunResult:
     error: Optional[BaseException] = None
     report: Optional[dict] = None
     wall_seconds: float = 0.0
+    #: the run's per-category flop tally (its ``run_scope`` counter).
+    flops: Dict[str, float] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -93,40 +122,151 @@ class ProjectorPool:
         return len(self._pool)
 
 
-class _Job:
-    __slots__ = ("spec", "index", "result", "event")
+def content_key(spec: RunSpec) -> str:
+    """The routing key: ``spec`` without ``seed``, ``label`` and ``tags``."""
+    doc = spec.as_dict()
+    for name in ("seed", "label", "tags"):
+        del doc[name]
+    return json.dumps(doc, sort_keys=True, default=repr)
 
-    def __init__(self, spec: RunSpec, index: int):
+
+def _execute(
+    spec: RunSpec,
+    index: int,
+    cache: FactorCache,
+    projectors: ProjectorPool,
+    reports: bool,
+) -> RunResult:
+    """What :func:`~repro.service.execute` runs, inside a private obs scope."""
+    result = RunResult(spec=spec, index=index)
+    ctx = RunContext(
+        cache=cache,
+        rng=np.random.default_rng(spec.seed),
+        projectors=projectors if spec.share_projection else None,
+    )
+    t0 = time.perf_counter()
+    with obs.run_scope() as scope:
+        try:
+            result.payload = get_runner(spec.workload)(spec, ctx)
+        except BaseException as exc:
+            result.error = exc
+        result.wall_seconds = time.perf_counter() - t0
+        result.flops = scope.counter.snapshot()
+        if reports:
+            result.report = scope.report(meta={
+                "service_run": {
+                    "index": index,
+                    "workload": spec.workload,
+                    "label": spec.label,
+                    "seed": spec.seed,
+                    "config": spec.config.as_dict(),
+                    "ok": result.ok,
+                    "wall_seconds": result.wall_seconds,
+                }
+            })
+    return result
+
+
+def _worker_main(slot, conn, parent_end, cache, window, reports, obs_on) -> None:
+    """A worker process: execute ``(index, spec)`` messages until ``None``.
+
+    Results go back in arrival order as ``[payload, error, report,
+    wall_seconds, flops, cache.as_dict()]``.
+    """
+    parent_end.close()  # so a dead parent reads as EOF here
+    if obs_on:  # a spawned worker does not inherit the switch
+        obs.enable()
+    cache.stats = CacheStats()  # the parent keeps the pre-fork counts
+    projectors = ProjectorPool(max_vectors=window)
+    while True:
+        try:
+            msg = conn.recv()
+        except EOFError:
+            return
+        if msg is None:
+            return
+        index, spec = msg
+        r = _execute(spec, index, cache, projectors, reports)
+        fields = [r.payload, r.error, r.report, r.wall_seconds, r.flops,
+                  cache.as_dict()]
+        try:
+            conn.send(fields)
+        except Exception as exc:  # pickling failed; nothing was written
+            fields[:2] = [None, ServiceWorkerError(
+                f"worker {slot}: run {index} of runner {spec.workload!r} "
+                f"returned a result that does not pickle: {exc!r}"
+            )]
+            conn.send(fields)
+
+
+class _Job:
+    __slots__ = ("spec", "index", "result", "_session")
+
+    def __init__(self, session: "Session", spec: RunSpec, index: int):
+        self._session = session
         self.spec = spec
         self.index = index
         self.result: Optional[RunResult] = None
-        self.event = threading.Event()
 
     def wait(self, timeout: Optional[float] = None) -> RunResult:
-        if not self.event.wait(timeout):
-            raise TimeoutError(f"run {self.index} still executing")
-        assert self.result is not None
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while self.result is None:
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise TimeoutError(f"run {self.index} still executing")
+            self._session._pump(remaining)
         return self.result
 
 
+class _Worker:
+    """One forked worker process and the runs routed to it, in order."""
+
+    def __init__(self, session: "Session", slot: int):
+        ctx = _mp.get_context(_start_method())
+        self.conn, child = ctx.Pipe(duplex=True)
+        self.proc = ctx.Process(
+            target=_worker_main,
+            args=(slot, child, self.conn, session.cache,
+                  session.projection_window, session.reports, obs.enabled()),
+            name=f"repro-service-{slot}",
+            daemon=True,
+        )
+        self.proc.start()
+        child.close()
+        self.slot = slot
+        self.sent: Deque[_Job] = deque()
+        self.backlog: Deque[_Job] = deque()
+        #: the worker's latest ``FactorCache.as_dict()``
+        self.cache_stats: Dict[str, Any] = {}
+
+    def top_up(self) -> None:
+        while self.backlog and len(self.sent) < _IN_FLIGHT:
+            job = self.backlog.popleft()
+            self.sent.append(job)
+            self.conn.send((job.index, job.spec))
+
+
 class Session:
-    """A many-run solver service over a shared cache and projector pool.
+    """A many-run solver service over a cache and projector pool.
 
     Parameters
     ----------
     workers:
-        Worker-thread count: up to ``workers`` runs execute concurrently
-        (measured slower than 1 below K ~ 1536; see the module docstring).
+        ``1`` executes runs inline in the caller; ``n > 1`` forks ``n``
+        worker processes and routes runs to them by cache-key affinity
+        (see the module docstring).
     cache:
         A :class:`FactorCache` to share; built internally when omitted
-        (``max_cache_bytes`` caps it).
+        (``max_cache_bytes`` caps it).  Process workers start from a
+        fork-time copy of it and do not write back.
     reports:
         Record a schema-versioned per-run report for every run (enables
         the obs layer for the session's lifetime).
     projection_window:
-        History length of the shared projector pool.
+        History length of the projector pool (one pool per worker).
 
-    Use as a context manager; :meth:`close` joins the workers.
+    Use as a context manager; :meth:`close` drains the pending runs and
+    reaps the workers.
     """
 
     def __init__(
@@ -141,12 +281,14 @@ class Session:
             raise ValueError("need at least one worker")
         self.workers = int(workers)
         self.cache = cache if cache is not None else FactorCache(max_cache_bytes)
+        self.projection_window = int(projection_window)
         self.projectors = ProjectorPool(max_vectors=projection_window)
         self.reports = bool(reports)
-        self._queue: "queue.Queue[Optional[_Job]]" = queue.Queue()
-        self._threads: List[threading.Thread] = []
+        self._slots: List[Optional[_Worker]] = [None] * self.workers
+        self._route: Dict[str, int] = {}
+        #: last cache stats of reaped workers, so the summary keeps them
+        self._retired: List[Dict[str, Any]] = []
         self._results: List[RunResult] = []
-        self._results_lock = threading.Lock()
         self._submitted = 0
         self._closed = False
         self._t_open = time.perf_counter()
@@ -157,76 +299,89 @@ class Session:
             self._obs_was_enabled = False
 
     # ----------------------------------------------------------- worker pool
-    def _ensure_workers(self) -> None:
-        while len(self._threads) < self.workers:
-            t = threading.Thread(
-                target=self._worker,
-                name=f"repro-service-{len(self._threads)}",
-                daemon=True,
+    def _finish(self, job: _Job, result: RunResult) -> None:
+        self._results.append(result)
+        self._busy_seconds += result.wall_seconds
+        job.result = result
+
+    def _retire(self, worker: _Worker, why: str) -> None:
+        """Fail every run routed to ``worker`` and reap it; the slot is
+        re-forked for the next run routed there."""
+        self._slots[worker.slot] = None
+        self._retired.append(worker.cache_stats)
+        for job in (*worker.sent, *worker.backlog):
+            error = ServiceWorkerError(
+                f"worker {worker.slot} (pid {worker.proc.pid}) {why} "
+                f"before returning run {job.index} ({job.spec.workload!r})"
             )
-            t.start()
-            self._threads.append(t)
+            self._finish(job, RunResult(spec=job.spec, index=job.index, error=error))
+        worker.conn.close()
+        _reap([worker.proc])
 
-    def _worker(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                self._queue.task_done()
-                return
-            result = self._execute(job)
-            with self._results_lock:
-                self._results.append(result)
-                self._busy_seconds += result.wall_seconds
-            job.result = result
-            job.event.set()
-            self._queue.task_done()
+    def _receive(self, worker: _Worker) -> None:
+        """Complete ``worker``'s oldest in-flight run from its pipe."""
+        try:
+            raw = worker.conn.recv_bytes()
+        except (EOFError, OSError):
+            worker.proc.join(1.0)
+            self._retire(worker, f"exited (exit code {worker.proc.exitcode})")
+            return
+        job = worker.sent.popleft()
+        result = RunResult(spec=job.spec, index=job.index)
+        try:
+            (result.payload, result.error, result.report, result.wall_seconds,
+             result.flops, worker.cache_stats) = pickle.loads(raw)
+        except Exception as exc:
+            result.error = ServiceWorkerError(
+                f"worker {worker.slot}: the result of run {job.index} "
+                f"({job.spec.workload!r}) does not unpickle: {exc!r}"
+            )
+        for cat, n in result.flops.items():
+            add_flops(n, cat)  # the run's flops happened in another process
+        self._finish(job, result)
+        self._send(worker)
 
-    def _execute(self, job: _Job) -> RunResult:
-        spec = job.spec
-        result = RunResult(spec=spec, index=job.index)
-        ctx = RunContext(
-            cache=self.cache,
-            rng=np.random.default_rng(spec.seed),
-            projectors=self.projectors if spec.share_projection else None,
-        )
-        t0 = time.perf_counter()
-        with obs.run_scope() as scope:
-            try:
-                result.payload = get_runner(spec.workload)(spec, ctx)
-            except BaseException as exc:
-                result.error = exc
-            result.wall_seconds = time.perf_counter() - t0
-            if self.reports:
-                result.report = scope.report(meta=self._run_meta(result))
-        return result
+    def _send(self, worker: _Worker) -> None:
+        try:
+            worker.top_up()
+        except OSError:
+            self._retire(worker, "exited")
 
-    def _run_meta(self, result: RunResult) -> dict:
-        spec = result.spec
-        return {
-            "service_run": {
-                "index": result.index,
-                "workload": spec.workload,
-                "label": spec.label,
-                "seed": spec.seed,
-                "config": spec.config.as_dict(),
-                "ok": result.ok,
-                "wall_seconds": result.wall_seconds,
-            }
-        }
+    def _pump(self, timeout: Optional[float]) -> None:
+        """Wait up to ``timeout`` for results and complete what arrived."""
+        busy = {w.conn: w for w in self._slots if w is not None and w.sent}
+        if not busy:
+            return
+        for conn in _mpc.wait(list(busy), timeout=timeout):
+            self._receive(busy[conn])
 
     # ------------------------------------------------------------- public API
     def submit(self, spec: RunSpec) -> _Job:
-        """Enqueue one run; returns a handle with ``wait() -> RunResult``."""
+        """Start one run; returns a handle with ``wait() -> RunResult``.
+
+        With one worker the run executes here and now; otherwise it is
+        routed to its key's worker and collected by ``wait``.
+        """
         if self._closed:
             raise RuntimeError("session is closed")
-        self._ensure_workers()
-        job = _Job(spec, self._submitted)
+        job = _Job(self, spec, self._submitted)
         self._submitted += 1
-        self._queue.put(job)
+        if self.workers == 1:
+            self._finish(job, _execute(spec, job.index, self.cache,
+                                       self.projectors, self.reports))
+            return job
+        slot = self._route.setdefault(
+            content_key(spec), len(self._route) % self.workers
+        )
+        worker = self._slots[slot]
+        if worker is None:
+            worker = self._slots[slot] = _Worker(self, slot)
+        worker.backlog.append(job)
+        self._send(worker)
         return job
 
     def run(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        """Execute ``specs`` on the pool; results in submission order."""
+        """Execute ``specs``; results in submission order."""
         jobs = [self.submit(s) for s in specs]
         return [j.wait() for j in jobs]
 
@@ -241,15 +396,29 @@ class Session:
 
     @property
     def results(self) -> List[RunResult]:
-        with self._results_lock:
-            return list(self._results)
+        """Completed runs, in completion order."""
+        return list(self._results)
 
     # ---------------------------------------------------------------- summary
+    def _cache_summary(self) -> dict:
+        """The inline cache's stats, or the parent's pre-fork counts plus
+        those of every worker the session started (entries and bytes are
+        the workers' alone)."""
+        if self.workers == 1:
+            return self.cache.as_dict()
+        parts = [self.cache.as_dict(), *self._retired]
+        parts += [w.cache_stats for w in self._slots if w is not None]
+        total = {k: sum(p.get(k, 0) for p in parts)
+                 for k in ("hits", "misses", "evictions", "build_seconds")}
+        for k in ("entries", "bytes"):
+            total[k] = sum(p.get(k, 0) for p in parts[1:])
+        lookups = total["hits"] + total["misses"]
+        total["hit_rate"] = total["hits"] / lookups if lookups else 0.0
+        return total
+
     def summary(self) -> dict:
         """The report schema's ``service`` section for this session."""
-        with self._results_lock:
-            done = list(self._results)
-            busy = self._busy_seconds
+        done = self._results
         wall = time.perf_counter() - self._t_open
         succeeded = sum(1 for r in done if r.ok)
         return {
@@ -258,9 +427,9 @@ class Session:
             "succeeded": succeeded,
             "failed": len(done) - succeeded,
             "wall_seconds": float(wall),
-            "busy_seconds": float(busy),
+            "busy_seconds": float(self._busy_seconds),
             "throughput_runs_per_s": (len(done) / wall) if wall > 0 else 0.0,
-            "cache": self.cache.as_dict(),
+            "cache": self._cache_summary(),
             # Constants: there is no cross-run fusion.  Kept only because
             # bench/workloads.py (sweep64, traced runs) reads these two keys
             # for the service.batcher.* per-layer metrics; the literal goes
@@ -274,14 +443,25 @@ class Session:
 
     # ------------------------------------------------------------------ close
     def close(self, timeout: float = 30.0) -> None:
-        """Drain the queue and join the workers (idempotent)."""
+        """Finish the pending runs, then stop and reap the workers
+        (idempotent).  Runs still pending after ``timeout`` seconds fail
+        with :class:`ServiceWorkerError`."""
         if self._closed:
             return
         self._closed = True
-        for _ in self._threads:
-            self._queue.put(None)
-        for t in self._threads:
-            t.join(timeout)
+        deadline = time.monotonic() + timeout
+        while (any(w is not None and w.sent for w in self._slots)
+               and time.monotonic() < deadline):
+            self._pump(deadline - time.monotonic())
+        live = [w for w in self._slots if w is not None]
+        for w in live:
+            try:
+                w.conn.send(None)
+            except OSError:
+                pass
+        for w in live:
+            w.proc.join(max(0.0, deadline - time.monotonic()))
+            self._retire(w, "was stopped by close()")
         if self._obs_was_enabled is False:
             obs.disable()
 

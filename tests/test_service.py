@@ -14,6 +14,8 @@ The load-bearing guarantees under test:
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 import time
 
@@ -180,7 +182,7 @@ class TestFactorCache:
     def test_as_dict_shape(self):
         d = FactorCache().as_dict()
         assert set(d) == {"hits", "misses", "evictions", "hit_rate",
-                          "entries", "bytes"}
+                          "entries", "bytes", "build_seconds"}
 
 
 class TestSignatures:
@@ -400,6 +402,109 @@ class TestSession:
             assert r.payload["converged"]
         assert results[0].payload["iterations"] == results[1].payload["iterations"]
         assert summary["cache"]["hits"] >= 1  # mesh/pop/rhs shared
+
+
+def _mixed_specs():
+    """Poisson runs over three content keys, so two or three workers all
+    get work."""
+    return (_poisson_specs(3) + _poisson_specs(2, deformed=True)
+            + _poisson_specs(2, n=2, order=4))
+
+
+def _shm_entries():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+class TestProcessWorkers:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("backend", ["matmul", "auto"])
+    def test_payloads_bitwise_match_solo(self, backend, workers):
+        specs = _mixed_specs()
+        with use_backend(backend):
+            solo = [execute(s) for s in specs]
+            with Session(workers=workers) as sess:
+                results = sess.run(specs)
+                summary = sess.summary()
+        for r, s in zip(results, solo):
+            assert r.ok, r.error
+            np.testing.assert_array_equal(r.payload["x"], s["x"])
+            assert r.payload["iterations"] == s["iterations"]
+        # Each key was built once, on its own worker; the workers' caches
+        # add up in the summary.
+        assert summary["cache"]["misses"] >= 3
+        assert summary["cache"]["hits"] + summary["cache"]["misses"] > 7
+        assert summary["cache"]["entries"] >= 3
+        assert summary["cache"]["build_seconds"] > 0
+
+    def test_routing_is_by_content_key(self):
+        from repro.service.session import content_key
+
+        a, b = _poisson_specs(2)
+        assert a.seed != b.seed and a.label != b.label
+        assert content_key(a) == content_key(b)
+        deformed = _poisson_specs(1, deformed=True)[0]
+        assert content_key(deformed) != content_key(a)
+
+    def test_counting_sees_the_workers_flops(self):
+        from repro.perf.flops import counting
+
+        with use_backend("matmul"):
+            with counting() as fc, Session(workers=2) as sess:
+                results = sess.run(_mixed_specs())
+        assert all(r.ok for r in results)
+        per_run = sum(r.report["flops"]["total"] for r in results)
+        assert per_run > 0
+        assert fc.total() == pytest.approx(per_run, rel=1e-12)
+        assert sum(sum(r.flops.values()) for r in results) == pytest.approx(
+            per_run, rel=1e-12)
+
+    def test_killed_worker_fails_its_runs_and_leaves_nothing(self):
+        from repro.service import ServiceWorkerError, register
+
+        @register("test-sigkill")
+        def _die(spec, ctx):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        shm_before = _shm_entries()
+        victim = RunSpec("test-sigkill")
+        good = _poisson_specs(1)[0]
+        # Round-robin on first sight: victim -> worker 0, good -> worker 1,
+        # the deformed run -> worker 0, behind the victim.
+        behind = _poisson_specs(1, deformed=True)[0]
+        sess = Session(workers=2)
+        with use_backend("matmul"):
+            results = sess.run([victim, good, behind])
+            pids = [w.proc.pid for w in sess._slots if w is not None]
+            assert len(pids) == 1  # worker 0 is gone
+            assert not results[0].ok and not results[2].ok
+            for r in (results[0], results[2]):
+                assert isinstance(r.error, ServiceWorkerError)
+                assert "worker 0" in str(r.error)
+                assert f"run {r.index}" in str(r.error)
+            assert results[1].ok
+            # Slot 0 is re-forked for the next run routed there.
+            again = sess.run([behind])[0]
+        assert again.ok, again.error
+        pids += [w.proc.pid for w in sess._slots if w is not None]
+        sess.close()
+        assert sess.summary()["failed"] == 2
+        for pid in set(pids):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert _shm_entries() <= shm_before
+
+    def test_unpicklable_payload_fails_only_its_run(self):
+        from repro.service import ServiceWorkerError
+
+        shear = RunSpec("shear_layer", params={"n_elements": 4, "order": 4,
+                                               "steps": 1})
+        good = _poisson_specs(1)[0]
+        after = _poisson_specs(1, deformed=True)[0]  # same worker as shear
+        with use_backend("matmul"), Session(workers=2) as sess:
+            results = sess.run([shear, good, after])
+        assert isinstance(results[0].error, ServiceWorkerError)
+        assert "shear_layer" in str(results[0].error)
+        assert results[1].ok and results[2].ok
 
 
 class TestProjectorPool:
