@@ -540,8 +540,8 @@ def main(argv=None) -> int:
     pw.add_argument("--runs", type=int, default=12,
                     help="number of runs to submit (variant rows cycle)")
     pw.add_argument("--workers", type=int, default=1,
-                    help="worker processes; runs sharing a cache key "
-                         "stay on one worker (1 = inline)")
+                    help="worker processes, one BLAS thread each; runs "
+                         "sharing a cache key stay on one worker (1 = inline)")
     pw.add_argument("--level", type=int, default=0, choices=[0, 1, 2])
     pw.add_argument("--order", type=int, default=7)
     pw.add_argument("--out", default=None,

@@ -9,10 +9,11 @@ sharing the amortizable state between them —
 * :class:`ProjectorPool` — opt-in cross-run successive-RHS projection
   reuse (:mod:`repro.service.session`).
 
-``Session(workers=1)`` runs inline in the caller.  ``workers=n`` forks n
-worker processes, each with its own copy of the cache and its own
-projector pool, and routes every run by its content key (the spec without
-seed, label and tags), so runs that share factors land on one worker.
+``Session(workers=1)`` runs inline in the caller.  ``workers=n`` runs
+its first run inline, then forks n worker processes, each with its own
+copy of the (now warm) cache and its own projector pool, and routes every
+later run by its content key (the spec without seed, label and tags), so
+runs that share factors land on one worker.
 A worker that dies or a result that does not pickle fails only its own
 runs, with a :class:`ServiceWorkerError`.
 

@@ -37,6 +37,9 @@ class RunContext:
     )
     #: session-owned successive-RHS projector pool (None for solo runs).
     projectors: Optional[Any] = None
+    #: the run executes in a session worker process, so its payload must
+    #: pickle back to the caller: leave live objects (solvers, cases) out.
+    remote: bool = False
 
 
 _REGISTRY: Dict[str, Callable[[RunSpec, RunContext], Any]] = {}
@@ -227,9 +230,11 @@ def _run_shear_layer(spec: RunSpec, ctx: RunContext) -> dict:
     for _ in range(steps):
         case.solver.step()
     stats = case.solver.stats
-    return {
+    payload = {
         "steps": steps,
         "pressure_iterations": [s.pressure_iterations for s in stats],
         "final_time": case.solver.t,
-        "case": case,
     }
+    if not ctx.remote:  # the live case, for the report CLI's profile
+        payload["case"] = case
+    return payload

@@ -13,7 +13,8 @@ sharing the two amortizable assets the runs would otherwise each rebuild:
 
 A run in a session executes exactly the code :func:`repro.service.execute`
 (the solo path) executes, so its payload is bitwise equal to the solo
-payload under every kernel backend.  Each run executes inside
+payload under every kernel backend — for a pooled session (below), to the
+solo payload computed on one BLAS thread.  Each run executes inside
 :func:`repro.obs.run_scope`, so it gets a private region tree, telemetry
 sink, and exact per-run flop tally; its schema-versioned run report is the
 service's streamed telemetry.  :meth:`Session.summary` aggregates
@@ -31,6 +32,18 @@ key to the same worker.  Runs that share factors therefore share one
 worker's cache while the keys stay spread over the pool.  Each worker
 holds its own ``FactorCache`` (a fork-time copy of the session's, so it
 also inherits the kernel tuner's table) and its own ``ProjectorPool``.
+The session's first run executes inline before any worker forks, so the
+entries it builds — for runs of one workload, typically the shared mesh
+and operators — are built once and inherited by every worker rather than
+rebuilt in each.
+
+Every run of a pooled session, the inline first run included, executes on
+one OpenBLAS thread: n workers each running the default thread count
+oversubscribe the cores, and lose to a sequential loop.  OpenBLAS splits a
+dot product of more than 10 000 entries across its threads, so a runner
+that takes one matches, pooled, a solo run made with one BLAS thread (e.g.
+``OPENBLAS_NUM_THREADS=1``) bitwise, and a default-threaded one only to
+rounding.
 
 Accounting crosses the process boundary: each :class:`RunResult` carries
 its run's per-category flop tally, which the parent adds to its own
@@ -42,6 +55,8 @@ A worker that dies fails only the runs routed to it, with a typed
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import json
 import multiprocessing as _mp
 import multiprocessing.connection as _mpc
@@ -50,7 +65,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence
+from typing import (
+    Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -67,6 +84,45 @@ __all__ = ["Session", "RunResult", "ProjectorPool", "ServiceWorkerError"]
 #: runs sent ahead to one worker; the rest wait in the parent, so a pipe
 #: never fills in both directions at once.
 _IN_FLIGHT = 2
+
+
+def _openblas_thread_controls() -> List[Tuple[Callable, Callable]]:
+    """``(get, set)`` thread-count functions of every OpenBLAS build loaded
+    in this process (numpy and scipy wheels each ship one, with prefixed
+    or 64-bit-suffixed symbols); empty where none can be found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh
+                     if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    controls.append((get, set_))
+    return controls
+
+
+@contextlib.contextmanager
+def _blas_threads(n: int) -> Iterator[None]:
+    """Run the block with ``n`` OpenBLAS threads, then restore the counts."""
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(n)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
 
 
 class ServiceWorkerError(RuntimeError):
@@ -136,19 +192,25 @@ def _execute(
     cache: FactorCache,
     projectors: ProjectorPool,
     reports: bool,
+    remote: bool = False,
 ) -> RunResult:
-    """What :func:`~repro.service.execute` runs, inside a private obs scope."""
+    """What :func:`~repro.service.execute` runs, inside a private obs scope.
+
+    A run's exception becomes its ``error``; ``KeyboardInterrupt`` and
+    ``SystemExit`` are not a run's outcome and propagate.
+    """
     result = RunResult(spec=spec, index=index)
     ctx = RunContext(
         cache=cache,
         rng=np.random.default_rng(spec.seed),
         projectors=projectors if spec.share_projection else None,
+        remote=remote,
     )
     t0 = time.perf_counter()
     with obs.run_scope() as scope:
         try:
             result.payload = get_runner(spec.workload)(spec, ctx)
-        except BaseException as exc:
+        except Exception as exc:
             result.error = exc
         result.wall_seconds = time.perf_counter() - t0
         result.flops = scope.counter.snapshot()
@@ -174,6 +236,10 @@ def _worker_main(slot, conn, parent_end, cache, window, reports, obs_on) -> None
     wall_seconds, flops, cache.as_dict()]``.
     """
     parent_end.close()  # so a dead parent reads as EOF here
+    # One BLAS thread per process: n workers each running the default
+    # thread count oversubscribe the cores.
+    for _, set_ in _openblas_thread_controls():
+        set_(1)
     if obs_on:  # a spawned worker does not inherit the switch
         obs.enable()
     cache.stats = CacheStats()  # the parent keeps the pre-fork counts
@@ -186,7 +252,10 @@ def _worker_main(slot, conn, parent_end, cache, window, reports, obs_on) -> None
         if msg is None:
             return
         index, spec = msg
-        r = _execute(spec, index, cache, projectors, reports)
+        try:
+            r = _execute(spec, index, cache, projectors, reports, remote=True)
+        except KeyboardInterrupt:  # Ctrl-C reached the process group
+            return
         fields = [r.payload, r.error, r.report, r.wall_seconds, r.flops,
                   cache.as_dict()]
         try:
@@ -256,9 +325,15 @@ class Session:
         worker processes and routes runs to them by cache-key affinity
         (see the module docstring).
     cache:
-        A :class:`FactorCache` to share; built internally when omitted
-        (``max_cache_bytes`` caps it).  Process workers start from a
-        fork-time copy of it and do not write back.
+        A :class:`FactorCache` to share; built internally when omitted.
+        Process workers start from a fork-time copy of it and do not
+        write back.
+    max_cache_bytes:
+        Byte cap of the internally built cache.  Each worker's copy
+        applies the cap on its own, so with ``n`` workers the session may
+        hold up to ``n + 1`` times the cap (the parent's copy included),
+        and ``summary()["cache"]["bytes"]``, which sums the workers'
+        caches, may exceed it.
     reports:
         Record a schema-versioned per-run report for every run (enables
         the obs layer for the session's lifetime).
@@ -359,8 +434,9 @@ class Session:
     def submit(self, spec: RunSpec) -> _Job:
         """Start one run; returns a handle with ``wait() -> RunResult``.
 
-        With one worker the run executes here and now; otherwise it is
-        routed to its key's worker and collected by ``wait``.
+        With one worker, and for the session's first run, the run executes
+        here and now; otherwise it is routed to its key's worker and
+        collected by ``wait``.
         """
         if self._closed:
             raise RuntimeError("session is closed")
@@ -373,6 +449,14 @@ class Session:
         slot = self._route.setdefault(
             content_key(spec), len(self._route) % self.workers
         )
+        if job.index == 0:
+            # A pooled session's first run warms the cache the workers
+            # fork from, so they do not each rebuild what it built; it
+            # runs on one BLAS thread, as the workers do.
+            with _blas_threads(1):
+                self._finish(job, _execute(spec, job.index, self.cache,
+                                           self.projectors, self.reports))
+            return job
         worker = self._slots[slot]
         if worker is None:
             worker = self._slots[slot] = _Worker(self, slot)
@@ -401,17 +485,21 @@ class Session:
 
     # ---------------------------------------------------------------- summary
     def _cache_summary(self) -> dict:
-        """The inline cache's stats, or the parent's pre-fork counts plus
-        those of every worker the session started (entries and bytes are
-        the workers' alone)."""
+        """The inline cache's stats, or the parent's counts (its first run)
+        plus those of every worker the session started.  Entries and bytes
+        are the workers' once any has reported, since each worker's cache
+        holds a fork-time copy of the parent's."""
+        parent = self.cache.as_dict()
         if self.workers == 1:
-            return self.cache.as_dict()
-        parts = [self.cache.as_dict(), *self._retired]
-        parts += [w.cache_stats for w in self._slots if w is not None]
-        total = {k: sum(p.get(k, 0) for p in parts)
+            return parent
+        workers = [*self._retired,
+                   *(w.cache_stats for w in self._slots if w is not None)]
+        workers = [p for p in workers if p]
+        parts = [parent, *workers]
+        total = {k: sum(p[k] for p in parts)
                  for k in ("hits", "misses", "evictions", "build_seconds")}
         for k in ("entries", "bytes"):
-            total[k] = sum(p.get(k, 0) for p in parts[1:])
+            total[k] = sum(p[k] for p in workers) if workers else parent[k]
         lookups = total["hits"] + total["misses"]
         total["hit_rate"] = total["hits"] / lookups if lookups else 0.0
         return total

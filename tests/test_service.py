@@ -355,6 +355,20 @@ class TestSession:
             with Session(workers=1) as sess2:
                 sess2.map([bad])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_keyboard_interrupt_is_not_a_run_outcome(self, workers):
+        from repro.service import register
+
+        @register("test-interrupt")
+        def _interrupt(spec, ctx):
+            raise KeyboardInterrupt
+
+        later = _poisson_specs(1)[0]
+        with Session(workers=workers) as sess:
+            with pytest.raises(KeyboardInterrupt):
+                sess.run([RunSpec("test-interrupt"), later])
+        assert sess.results == []
+
     def test_unknown_workload_raises_helpfully(self):
         with Session(workers=1) as sess:
             res = sess.run([RunSpec("no-such-runner")])[0]
@@ -467,22 +481,23 @@ class TestProcessWorkers:
 
         shm_before = _shm_entries()
         victim = RunSpec("test-sigkill")
-        good = _poisson_specs(1)[0]
-        # Round-robin on first sight: victim -> worker 0, good -> worker 1,
-        # the deformed run -> worker 0, behind the victim.
+        good, other = _poisson_specs(1), _poisson_specs(1, n=2, order=4)
+        # The first run executes inline.  Round-robin on first sight: good
+        # -> slot 0, victim -> worker 1, other -> worker 0, and the deformed
+        # run -> worker 1, behind the victim.
         behind = _poisson_specs(1, deformed=True)[0]
         sess = Session(workers=2)
         with use_backend("matmul"):
-            results = sess.run([victim, good, behind])
+            results = sess.run([*good, victim, *other, behind])
             pids = [w.proc.pid for w in sess._slots if w is not None]
-            assert len(pids) == 1  # worker 0 is gone
-            assert not results[0].ok and not results[2].ok
-            for r in (results[0], results[2]):
+            assert len(pids) == 1  # worker 1 is gone
+            assert not results[1].ok and not results[3].ok
+            for r in (results[1], results[3]):
                 assert isinstance(r.error, ServiceWorkerError)
-                assert "worker 0" in str(r.error)
+                assert "worker 1" in str(r.error)
                 assert f"run {r.index}" in str(r.error)
-            assert results[1].ok
-            # Slot 0 is re-forked for the next run routed there.
+            assert results[0].ok and results[2].ok
+            # Slot 1 is re-forked for the next run routed there.
             again = sess.run([behind])[0]
         assert again.ok, again.error
         pids += [w.proc.pid for w in sess._slots if w is not None]
@@ -494,17 +509,70 @@ class TestProcessWorkers:
         assert _shm_entries() <= shm_before
 
     def test_unpicklable_payload_fails_only_its_run(self):
-        from repro.service import ServiceWorkerError
+        from repro.service import ServiceWorkerError, register
 
-        shear = RunSpec("shear_layer", params={"n_elements": 4, "order": 4,
-                                               "steps": 1})
-        good = _poisson_specs(1)[0]
-        after = _poisson_specs(1, deformed=True)[0]  # same worker as shear
+        @register("test-unpicklable")
+        def _live(spec, ctx):
+            return {"lock": threading.Lock()}
+
+        first, good = _poisson_specs(1), _poisson_specs(1, n=2, order=4)
+        bad = RunSpec("test-unpicklable")
+        after = _poisson_specs(1, deformed=True)[0]  # same worker as bad
         with use_backend("matmul"), Session(workers=2) as sess:
-            results = sess.run([shear, good, after])
-        assert isinstance(results[0].error, ServiceWorkerError)
-        assert "shear_layer" in str(results[0].error)
-        assert results[1].ok and results[2].ok
+            results = sess.run([*first, bad, *good, after])
+        assert isinstance(results[1].error, ServiceWorkerError)
+        assert "test-unpicklable" in str(results[1].error)
+        assert results[0].ok and results[2].ok and results[3].ok
+
+    def test_shear_layer_runs_on_workers(self):
+        spec = RunSpec("shear_layer", params={"n_elements": 4, "order": 4,
+                                              "steps": 1})
+        first = _poisson_specs(1)[0]  # executes inline; shear goes to a worker
+        with use_backend("matmul"):
+            solo = execute(spec)
+            with Session(workers=2) as sess:
+                results = sess.run([first, spec])
+        assert results[1].ok, results[1].error
+        assert "case" in solo and "case" not in results[1].payload
+        assert results[1].payload == {k: v for k, v in solo.items()
+                                      if k != "case"}
+
+    def test_pooled_runs_use_one_blas_thread_per_process(self):
+        from repro.service import register
+        from repro.service.session import _openblas_thread_controls
+
+        def counts():
+            return [get() for get, _ in _openblas_thread_controls()]
+
+        @register("test-blas-threads")
+        def _threads(spec, ctx):
+            return counts()
+
+        before = counts()
+        specs = [RunSpec("test-blas-threads", params={"k": i}) for i in range(3)]
+        with Session(workers=2) as sess:
+            results = sess.run(specs)  # inline, then worker 1, worker 0
+        assert counts() == before
+        for r in results:
+            assert r.payload == [1] * len(before)
+
+    def test_workers_do_not_rebuild_the_first_runs_entries(self):
+        specs = [
+            RunSpec("table2", params={"level": 0, "order": 3},
+                    config=SolverConfig(pressure_variant=v), seed=i, label=v)
+            for i, v in enumerate(["fdm", "fem", "condensed", "fdm", "fem"])
+        ]
+        loop = FactorCache()
+        with use_backend("matmul"):
+            for s in specs:
+                execute(s, cache=loop)
+            with Session(workers=2) as sess:
+                results = sess.run(specs)
+                summary = sess.summary()
+        assert all(r.ok for r in results)
+        # The shared mesh and operators are built once, inline, and forked.
+        assert summary["cache"]["misses"] == loop.stats.misses
+        assert summary["cache"]["hits"] == loop.stats.hits
 
 
 class TestProjectorPool:
