@@ -6,8 +6,9 @@ Walks through what the SPMD layer does for a real mesh:
 
 1. partition elements across simulated ranks with recursive spectral
    bisection and report shared-vertex statistics,
-2. set up the gs_init/gs_op gather-scatter kernel and price one residual
-   assembly exchange on the ASCI-Red machine model,
+2. set up the gs_init/gs_op_rank gather-scatter kernel and run one
+   residual assembly on simulated ranks priced by the ASCI-Red machine
+   model,
 3. factor a coarse-grid operator with XXT and compare solve strategies
    versus P (the Fig. 6 story),
 4. print the Table 4 GFLOPS model for the paper's (K, N) = (8168, 15) run.
@@ -20,8 +21,8 @@ import scipy.sparse as sp
 
 from repro import box_mesh_3d
 from repro.parallel.coarse_parallel import CoarseSolveModel, poisson_5pt
-from repro.parallel.comm import SimComm
-from repro.parallel.gs import gs_init
+from repro.parallel.exec import run_spmd
+from repro.parallel.gs import gs_init, gs_op_rank
 from repro.parallel.machine import ASCI_RED_333, ASCI_RED_333_PERF
 from repro.parallel.partition import partition_statistics, recursive_spectral_bisection
 from repro.parallel.perf_model import TerascaleModel
@@ -40,13 +41,17 @@ print(f"  shared vertices = {stats['shared_vertices']} "
 # 2. ------------------------------------------------------- gather-scatter
 ids = [mesh.global_ids[part == p] for p in range(P)]
 handle = gs_init(ids)
-comm = SimComm(ASCI_RED_333, P)
 vals = [np.random.default_rng(p).standard_normal(ids[p].shape) for p in range(P)]
-handle.gs_op(vals, "+", comm=comm)
+run = run_spmd(gs_op_rank, [(h, v, "+") for h, v in zip(handle.rank_handles(), vals)],
+               machine=ASCI_RED_333)
+xchg = run.merged["phases"]["exchange"]
 print(f"\ngather-scatter (one residual assembly):")
 print(f"  shared nodes = {handle.n_shared}, "
       f"max per-rank volume = {handle.max_rank_volume()} words")
-print(f"  simulated exchange time on ASCI-Red-333: {comm.elapsed() * 1e6:.1f} us")
+print(f"  {xchg['messages']} messages, {xchg['words']:.0f} words; simulated time "
+      f"on ASCI-Red-333: {run.modeled_seconds * 1e6:.1f} us "
+      f"(modeled exchange {xchg['modeled_seconds_max'] * 1e6:.1f} us per rank, "
+      f"measured incl. wait {xchg['measured_seconds_max'] * 1e6:.1f} us)")
 
 # 3. ------------------------------------------------------------ XXT/Fig 6
 a, coords = poisson_5pt(63)

@@ -148,6 +148,15 @@ def _cmd_backends(args) -> int:
     return 0
 
 
+def _gs_steps_rank(comm, handle, field, steps: int) -> None:
+    """Rank program of ``report``'s parallel profile: ``steps`` residual
+    assemblies of one field through the gather-scatter kernel."""
+    from repro.parallel.gs import gs_op_rank
+
+    for _ in range(steps):
+        gs_op_rank(comm, handle, field, "+")
+
+
 def _cmd_report(args) -> int:
     """Traced shear-layer run -> schema-validated observability report.
 
@@ -190,7 +199,7 @@ def _cmd_report(args) -> int:
         # ASCI-Red cost model — the Section 6 communication numbers.
         import scipy.sparse as sp
 
-        from repro.parallel.comm import SimComm
+        from repro.parallel.exec import run_spmd
         from repro.parallel.gs import gs_init
         from repro.parallel.machine import ASCI_RED_333
         from repro.parallel.partition import recursive_spectral_bisection
@@ -202,13 +211,19 @@ def _cmd_report(args) -> int:
         )
         rank_elems = [np.nonzero(part == r)[0] for r in range(args.ranks)]
         if all(e.size for e in rank_elems):
-            gs = gs_init([mesh.global_ids[e] for e in rank_elems])
-            comm = SimComm(ASCI_RED_333, args.ranks)
-            fields = [np.asarray(sol.u[0])[e] for e in rank_elems]
-            for _ in range(args.steps):
-                gs.gs_op(fields, "+", comm=comm)
+            handles = gs_init([mesh.global_ids[e] for e in rank_elems]).rank_handles()
+            u = np.asarray(sol.u[0])
+            with obs.trace("gs_op"):
+                run = run_spmd(
+                    _gs_steps_rank,
+                    [(h, u[e], args.steps) for h, e in zip(handles, rank_elems)],
+                    machine=ASCI_RED_333,
+                )
+            merged = run.merged
+            obs.record_comm("gs", "+", merged["messages"], merged["words"],
+                            ranks=args.ranks, vec_width=1)
             obs.record_value(
-                "gs_simulated_seconds", comm.elapsed(), label=f"p{args.ranks}"
+                "gs_simulated_seconds", run.modeled_seconds, label=f"p{args.ranks}"
             )
 
     meta = spec.as_dict()

@@ -8,8 +8,8 @@ the interchangeable substrates:
 ==========  ==================================================================
 executor    what runs
 ==========  ==================================================================
-``sim``     cooperative threads over the virtual alpha-beta clocks of
-            :class:`~repro.parallel.comm.SimComm` (the cost model)
+``sim``     cooperative threads on one virtual alpha-beta clock per rank
+            (:class:`~repro.parallel.exec.sim.SimWorld`, the cost model)
 ``mp``      real ``multiprocessing`` workers with ``shared_memory``
             payload transfer and wall-clock timing
 ==========  ==================================================================
@@ -17,15 +17,17 @@ executor    what runs
 :func:`run_spmd` is the uniform driver; it returns an
 :class:`SPMDRunResult` carrying per-rank results, per-rank
 :class:`~repro.parallel.protocol.CommStats`, and the merged
-measured-vs-modeled phase table.
+measured-vs-modeled phase table.  Both substrates book the same modeled
+charge per op (:func:`~repro.parallel.protocol.op_charge`); measured time
+is wall time on ``mp`` and the virtual clock's advance on ``sim``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence
 
-from ..comm import SimComm
 from ..machine import ASCI_RED_333, LOCALHOST_MP, Machine
 from ..protocol import Comm, CommStats, merge_stats
 from .mp import (
@@ -68,23 +70,12 @@ class SPMDRunResult:
     stats: List[CommStats]  #: per-rank comm accounting
     wall_seconds: float  #: real elapsed time of the whole run
     modeled_seconds: float  #: alpha-beta elapsed (sim: virtual clock max)
-    sim: Optional[SimComm] = None  #: the accountant, for sim runs
     rank_obs: List[Optional[dict]] = field(default_factory=list)  #: worker obs docs
 
     @property
     def merged(self) -> dict:
         """Merged measured-vs-modeled phase table (see ``merge_stats``)."""
         return merge_stats(self.stats)
-
-    def as_dict(self) -> dict:
-        return {
-            "executor": self.executor,
-            "ranks": self.ranks,
-            "wall_seconds": self.wall_seconds,
-            "modeled_seconds": self.modeled_seconds,
-            "merged": self.merged,
-            "per_rank": [s.as_dict() for s in self.stats],
-        }
 
     def report_section(self) -> dict:
         """The run as an obs-report ``spmd`` section (see ``report_json``).
@@ -121,48 +112,38 @@ def run_spmd(
     ranks: Optional[int] = None,
     executor: str = "sim",
     machine: Optional[Machine] = None,
-    simcomm: Optional[SimComm] = None,
     timeout: Optional[float] = 600.0,
     seed_base: Optional[str] = None,
 ) -> SPMDRunResult:
     """Run ``program(comm, *rank_args[r])`` on every rank of a substrate.
 
-    ``executor`` selects the substrate (``sim`` | ``mp``).  For
-    ``sim``, pass either an existing ``simcomm`` (its clocks keep
-    accumulating, matching the pre-protocol charging style) or a
-    ``machine`` to build a fresh one.  For ``mp``, ``machine`` parameterizes
-    the alpha-beta predictions reported next to the measured wall times and
+    ``executor`` selects the substrate (``sim`` | ``mp``); ``ranks``
+    defaults to ``len(rank_args)``.  ``machine`` is the alpha-beta-gamma
+    model every comm op is charged on (``sim``: also the virtual clocks;
+    default ASCI-Red for ``sim``, localhost for ``mp``).  For ``mp``,
     ``timeout`` bounds the whole run (workers are terminated past it).
     """
     if executor not in EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
     if ranks is None:
-        if simcomm is None:
-            raise ValueError("pass ranks= or an explicit simcomm")
-        ranks = simcomm.p
+        ranks = len(rank_args)
     if ranks < 1:
         raise ValueError(f"need at least one rank, got {ranks}")
     if len(rank_args) != ranks:
         raise ValueError(f"need {ranks} per-rank argument tuples, got {len(rank_args)}")
 
     if executor == "sim":
-        if simcomm is None:
-            simcomm = SimComm(machine or ASCI_RED_333, ranks)
-        elif simcomm.p != ranks:
-            raise ValueError(f"simcomm has p={simcomm.p}, requested ranks={ranks}")
-        import time as _time
-
-        t0 = _time.perf_counter()
-        results, stats = run_sim(program, rank_args, simcomm)
-        wall = _time.perf_counter() - t0
+        t0 = time.perf_counter()
+        results, stats, modeled = run_sim(
+            program, rank_args, machine or ASCI_RED_333
+        )
         return SPMDRunResult(
             executor="sim",
             ranks=ranks,
             results=results,
             stats=stats,
-            wall_seconds=wall,
-            modeled_seconds=simcomm.elapsed(),
-            sim=simcomm,
+            wall_seconds=time.perf_counter() - t0,
+            modeled_seconds=modeled,
             rank_obs=[None] * ranks,
         )
 

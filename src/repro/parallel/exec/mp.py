@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import multiprocessing as _mp
 import multiprocessing.connection as _mpc
 import os
@@ -179,8 +178,7 @@ class MpComm(Comm):
         # Real substrate: computation happens on the real CPU — the hook
         # only tallies the declared flops and the alpha-beta-gamma model's
         # prediction (stats().compute_seconds is *modeled* time here).
-        self._stats.compute_flops += float(flops)
-        self._stats.compute_seconds += self.machine.compute_time(flops, mxm_fraction)
+        self._book_compute(flops, mxm_fraction)
 
     def exchange(self, peer: int, payload: Any, words: Optional[float] = None) -> Any:
         if peer == self.rank or peer not in self.peers:
@@ -194,7 +192,7 @@ class MpComm(Comm):
             else:
                 out = _recv_payload(conn)
                 _send_payload(conn, payload, self._shm_namer)
-        self._stats.phase("exchange").add(1, w, t.dt, self.machine.msg_time(w))
+        self._book("exchange", t.dt, self._charge("exchange", w))
         return out
 
     def send_recv(
@@ -211,17 +209,12 @@ class MpComm(Comm):
                 _send_payload(self.peers[dest], payload, self._shm_namer)
             if source is not None:
                 out = _recv_payload(self.peers[source])
-        modeled = 0.0
+        charges = []
         if dest is not None:
-            modeled += self.machine.alpha
+            charges.append(self._charge("send", w))
         if source is not None:
-            modeled += self.machine.msg_time(payload_words(out))
-        self._stats.phase("send_recv").add(
-            1 if dest is not None else 0,
-            w if dest is not None else payload_words(out),
-            t.dt,
-            modeled,
-        )
+            charges.append(self._charge("recv", payload_words(out)))
+        self._book("send_recv", t.dt, *charges)
         return out
 
     def _gather_fold_bcast(self, value: Any, op: str) -> Any:
@@ -243,29 +236,20 @@ class MpComm(Comm):
         w = payload_words(value)
         with _Timer() as t:
             out = self._gather_fold_bcast(value, op)
-        levels = math.ceil(math.log2(self.size)) if self.size > 1 else 0
-        self._stats.phase("allreduce").add(
-            levels, levels * w, t.dt, self.machine.allreduce_time(w, self.size)
-        )
+        self._book("allreduce", t.dt, self._charge("allreduce", w))
         return out
 
     def barrier(self) -> None:
         with _Timer() as t:
             if self.size > 1:
                 self._barrier.wait()
-        levels = math.ceil(math.log2(self.size)) if self.size > 1 else 0
-        modeled = 2.0 * levels * self.machine.alpha
-        self._stats.phase("barrier").add(0, 0.0, t.dt, modeled)
+        self._book("barrier", t.dt, self._charge("barrier"))
 
     def fan_in_out(self, value: Any, op: str = "+", words_per_level=None) -> Any:
         w = payload_words(value)
         with _Timer() as t:
             out = self._gather_fold_bcast(value, op)
-        modeled = self.machine.fan_in_out_time(
-            w if words_per_level is None else words_per_level, self.size
-        )
-        levels = math.ceil(math.log2(self.size)) if self.size > 1 else 0
-        self._stats.phase("fan_in_out").add(2 * levels, 2.0 * levels * w, t.dt, modeled)
+        self._book("fan_in_out", t.dt, self._charge("fan_in_out", w, words_per_level))
         return out
 
     # ---------------------------------------------------------------- obs hooks
@@ -273,9 +257,6 @@ class MpComm(Comm):
         from ...obs.trace import trace as _trace
 
         return _trace(name)
-
-    def stats(self) -> CommStats:
-        return self._stats
 
 
 # ---------------------------------------------------------------------------

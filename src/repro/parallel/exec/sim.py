@@ -3,9 +3,13 @@
 Runs ``P`` rank programs as cooperative threads in one process; every
 :class:`~repro.parallel.protocol.Comm` operation *moves real data* between
 the threads (rendezvous exchange, mailbox send/recv, rank-order-fold
-collectives) while the shared :class:`~repro.parallel.comm.SimComm`
-accountant advances one virtual clock per rank exactly as before — the
-same critical-path semantics the Fig. 6 / Table 4 models are built on.
+collectives) while the shared :class:`SimWorld` advances one virtual clock
+per rank — the critical-path semantics the Fig. 6 / Table 4 models are
+built on.  A message completes at ``max(t_sender, t_receiver) + alpha +
+beta w``; a collective synchronizes everyone and adds its
+:func:`~repro.parallel.protocol.op_charge` time.  Each rank books the same
+modeled charge the real substrates book; its *measured* time is the
+clock's advance, which also holds any wait for a slower peer.
 
 Determinism: the final virtual clocks do not depend on thread scheduling.
 Every operation synchronizes its participants (both sides of an exchange
@@ -18,14 +22,13 @@ process-level substrates.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..comm import SimComm
+from ..machine import Machine
 from ..protocol import Comm, CommStats, payload_words, reduce_in_rank_order
 
 __all__ = ["SimWorld", "SimRankComm", "SPMDPeerError", "run_sim"]
@@ -43,11 +46,13 @@ def _copy(payload: Any) -> Any:
 
 
 class SimWorld:
-    """Shared state of one simulated SPMD run: clocks + rendezvous points."""
+    """Shared state of one simulated SPMD run: the machine, one virtual
+    clock per rank, and the rendezvous points."""
 
-    def __init__(self, simcomm: SimComm):
-        self.sim = simcomm
-        self.p = simcomm.p
+    def __init__(self, machine: Machine, p: int):
+        self.machine = machine
+        self.p = p
+        self.clock = np.zeros(p)
         self.cond = threading.Condition()
         self.failed: Optional[Tuple[int, BaseException]] = None
         # pairwise exchange: pair -> {rank: (payload, words)} / {rank: result}
@@ -77,9 +82,9 @@ class SimWorld:
         self._check_failed()
 
     # ------------------------------------------------------------------- compute
-    def compute(self, rank: int, flops: float, mxm_fraction: float) -> None:
+    def compute(self, rank: int, seconds: float) -> None:
         with self.cond:
-            self.sim.compute(rank, flops, mxm_fraction)
+            self.clock[rank] += seconds
 
     # ------------------------------------------------------------------ exchange
     def exchange(self, me: int, peer: int, payload: Any, words: float) -> Any:
@@ -94,10 +99,13 @@ class SimWorld:
             slot[me] = (payload, words)
             if peer in slot:
                 # Second arrival: both participants are blocked here, so
-                # their clocks are current — charge the pairwise message
-                # once (max of the two directions, as the router did).
+                # their clocks are current — both leave at the later clock
+                # plus one message time (the larger of the two directions).
                 peer_payload, peer_words = slot[peer]
-                self.sim.exchange(me, peer, max(words, peer_words))
+                t = max(self.clock[me], self.clock[peer]) + self.machine.msg_time(
+                    max(words, peer_words)
+                )
+                self.clock[me] = self.clock[peer] = t
                 out = self._xchg_out.setdefault(pair, {})
                 out[me] = _copy(peer_payload)
                 out[peer] = _copy(payload)
@@ -116,14 +124,11 @@ class SimWorld:
     def send(self, src: int, dst: int, payload: Any, words: float) -> None:
         with self.cond:
             self._check_failed()
-            # SimComm.send_recv semantics, split across the rendezvous: the
-            # receive completes at max(sender clock at send, receiver clock)
-            # + message time; the sender is freed after injecting (alpha).
-            send_clock = float(self.sim.clock[src])
-            self.sim.clock[src] += self.sim.machine.alpha
-            self.sim.comm_time[src] += self.sim.machine.alpha
-            self.sim.message_count += 1
-            self.sim.message_words += words
+            # The receive completes at max(sender clock at send, receiver
+            # clock) + message time; the sender is freed after injecting
+            # (alpha).
+            send_clock = float(self.clock[src])
+            self.clock[src] += self.machine.alpha
             self._mail.setdefault((src, dst), deque()).append(
                 (_copy(payload), send_clock, words)
             )
@@ -136,11 +141,8 @@ class SimWorld:
             while not box:
                 self._wait()
             payload, send_clock, words = box.popleft()
-            t = max(send_clock, float(self.sim.clock[dst])) + self.sim.machine.msg_time(
-                words
-            )
-            self.sim.comm_time[dst] += t - self.sim.clock[dst]
-            self.sim.clock[dst] = t
+            t = max(send_clock, float(self.clock[dst])) + self.machine.msg_time(words)
+            self.clock[dst] = t
             return payload
 
     # ---------------------------------------------------------------- collectives
@@ -150,9 +152,11 @@ class SimWorld:
         kind: str,
         payload: Any,
         op: str,
-        words: float,
-        words_per_level=None,
+        seconds: float,
     ) -> Any:
+        """Rendezvous of all ranks; the last arrival folds the data (none
+        for a barrier) and moves every clock to the latest one plus
+        ``seconds``, its modeled charge."""
         with self.cond:
             self._check_failed()
             if self._coll is None:
@@ -169,17 +173,8 @@ class SimWorld:
             state["items"][me] = payload
             if len(state["items"]) == self.p:
                 items = [state["items"][r] for r in range(self.p)]
-                if kind == "allreduce":
-                    result = reduce_in_rank_order(items, op)
-                    self.sim.allreduce(words)
-                elif kind == "fan_in_out":
-                    result = reduce_in_rank_order(items, op)
-                    self.sim.fan_in_out(
-                        words if words_per_level is None else words_per_level
-                    )
-                else:  # barrier
-                    result = None
-                    self.sim.barrier()
+                result = None if kind == "barrier" else reduce_in_rank_order(items, op)
+                self.clock[:] = float(self.clock.max()) + seconds
                 for r in range(self.p):
                     self._coll_out[r] = _copy(result)
                 self._coll = None
@@ -196,26 +191,23 @@ class SimRankComm(Comm):
         self.world = world
         self.rank = rank
         self.size = world.p
+        self.machine = world.machine
         self._stats = CommStats(rank=rank)
 
     # clock bookkeeping: while this rank sits inside one op nothing else can
     # move its clock (all ops synchronize their participants), so reading
     # before/after without holding the lock across the op is race-free.
     def _clock(self) -> float:
-        return float(self.world.sim.clock[self.rank])
+        return float(self.world.clock[self.rank])
 
     def compute(self, flops: float, mxm_fraction: float = 1.0) -> None:
-        t0 = self._clock()
-        self.world.compute(self.rank, flops, mxm_fraction)
-        self._stats.compute_flops += float(flops)
-        self._stats.compute_seconds += self._clock() - t0
+        self.world.compute(self.rank, self._book_compute(flops, mxm_fraction))
 
     def exchange(self, peer: int, payload: Any, words: Optional[float] = None) -> Any:
         w = self._words(payload, words)
         t0 = self._clock()
         out = self.world.exchange(self.rank, peer, payload, w)
-        dt = self._clock() - t0
-        self._stats.phase("exchange").add(1, w, dt, dt)
+        self._book("exchange", self._clock() - t0, self._charge("exchange", w))
         return out
 
     def send_recv(
@@ -228,77 +220,51 @@ class SimRankComm(Comm):
         w = self._words(payload, words)
         t0 = self._clock()
         out = None
+        charges = []
         if dest is not None:
             self.world.send(self.rank, dest, payload, w)
+            charges.append(self._charge("send", w))
         if source is not None:
             out = self.world.recv(source, self.rank)
-        dt = self._clock() - t0
-        self._stats.phase("send_recv").add(
-            1 if dest is not None else 0,
-            w if dest is not None else payload_words(out),
-            dt,
-            dt,
-        )
+            charges.append(self._charge("recv", payload_words(out)))
+        self._book("send_recv", self._clock() - t0, *charges)
+        return out
+
+    def _collective(self, kind: str, value: Any, op: str, charge) -> Any:
+        t0 = self._clock()
+        out = self.world.collective(self.rank, kind, value, op, charge[2])
+        self._book(kind, self._clock() - t0, charge)
         return out
 
     def allreduce(self, value: Any, op: str = "+") -> Any:
-        w = payload_words(value)
-        t0 = self._clock()
-        out = self.world.collective(self.rank, "allreduce", value, op, w)
-        dt = self._clock() - t0
-        levels = math.ceil(math.log2(self.size)) if self.size > 1 else 0
-        self._stats.phase("allreduce").add(levels, levels * w, dt, dt)
-        return out
+        return self._collective(
+            "allreduce", value, op, self._charge("allreduce", payload_words(value))
+        )
 
     def barrier(self) -> None:
-        t0 = self._clock()
-        self.world.collective(self.rank, "barrier", None, "+", 0.0)
-        dt = self._clock() - t0
-        self._stats.phase("barrier").add(0, 0.0, dt, dt)
+        self._collective("barrier", None, "+", self._charge("barrier"))
 
     def fan_in_out(self, value: Any, op: str = "+", words_per_level=None) -> Any:
-        w = payload_words(value)
-        t0 = self._clock()
-        out = self.world.collective(
-            self.rank, "fan_in_out", value, op, w, words_per_level=words_per_level
-        )
-        dt = self._clock() - t0
-        levels = math.ceil(math.log2(self.size)) if self.size > 1 else 0
-        try:
-            lw = list(words_per_level)[:levels] if words_per_level is not None else None
-        except TypeError:
-            lw = [float(words_per_level)] * levels
-        total_w = 2.0 * sum(lw) if lw else 2.0 * levels * w
-        self._stats.phase("fan_in_out").add(2 * levels, total_w, dt, dt)
-        return out
-
-    def stats(self) -> CommStats:
-        return self._stats
+        charge = self._charge("fan_in_out", payload_words(value), words_per_level)
+        return self._collective("fan_in_out", value, op, charge)
 
 
-def run_sim(
-    program,
-    rank_args: Sequence[tuple],
-    simcomm: SimComm,
-):
+def run_sim(program, rank_args: Sequence[tuple], machine: Machine):
     """Execute ``program(comm, *rank_args[r])`` on every simulated rank.
 
-    Returns ``(results, stats)`` in rank order.  The caller owns the
-    ``simcomm`` — virtual elapsed time, per-rank compute/comm seconds and
-    message totals accumulate there, exactly as the pre-protocol code
-    charged them.
+    Returns ``(results, stats, modeled_seconds)``: per-rank results and
+    :class:`~repro.parallel.protocol.CommStats` in rank order, and the
+    virtual elapsed time (the slowest rank's clock).
     """
-    p = simcomm.p
-    if len(rank_args) != p:
-        raise ValueError(f"need {p} per-rank argument tuples, got {len(rank_args)}")
-    world = SimWorld(simcomm)
+    p = len(rank_args)
+    world = SimWorld(machine, p)
     results: List[Any] = [None] * p
     stats: List[CommStats] = [CommStats(rank=r) for r in range(p)]
 
     if p == 1:
         comm = SimRankComm(world, 0)
         results[0] = program(comm, *rank_args[0])
-        return results, [comm.stats()]
+        return results, [comm.stats()], float(world.clock.max())
 
     def runner(r: int) -> None:
         comm = SimRankComm(world, r)
@@ -320,4 +286,4 @@ def run_sim(
         t.join()
     if world.failed is not None:
         raise world.failed[1]
-    return results, stats
+    return results, stats, float(world.clock.max())

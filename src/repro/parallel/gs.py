@@ -24,9 +24,13 @@ dofs per node, e.g. the d velocity components) sends all components of a
 shared node in the same message, exactly the "vector mode" optimization
 the paper describes.
 
-:meth:`GatherScatter.gs_op` keeps the original all-ranks-at-once
-convenience interface by running the rank program on the simulated
-substrate.
+There is one way to run it: cut the handles once, then run
+:func:`gs_op_rank` on every rank through
+:func:`~repro.parallel.exec.run_spmd` (or call it inside a larger rank
+program, as the distributed CG does)::
+
+    handles = gs_init(ids).rank_handles()
+    run = run_spmd(gs_op_rank, [(h, v, "+") for h, v in zip(handles, vals)])
 """
 
 from __future__ import annotations
@@ -36,17 +40,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs.telemetry import record_comm
-from ..obs.trace import trace
-from .comm import SimComm
-from .machine import ASCI_RED_333
 from .protocol import REDUCE_OPS, Comm
 
 __all__ = ["gs_init", "GatherScatter", "RankGS", "gs_op_rank"]
-
-# Backwards-compatible alias; the canonical table lives in the protocol.
-_OPS = REDUCE_OPS
-
 
 @dataclass
 class RankGS:
@@ -118,6 +114,12 @@ def gs_op_rank(comm: Comm, handle: RankGS, value: np.ndarray, op: str = "+"):
             recv[q] = np.asarray(
                 comm.exchange(q, send, words=float(send.shape[0] * vec_width))
             )
+            if recv[q].shape[1] != vec_width:
+                raise ValueError(
+                    f"rank {q} carries {recv[q].shape[1]} components per value "
+                    f"but rank {handle.rank} carries {vec_width}; all ranks "
+                    "must agree"
+                )
 
         # Canonical combine: every shared id folds its sharing ranks'
         # pre-reduced contributions in ascending rank order.
@@ -140,7 +142,7 @@ class GatherScatter:
     local_ids:
         One int array per rank: the global id of every local value (any
         shape; flattened internally).  Equal ids — across or within ranks —
-        are combined by ``gs_op``.
+        are combined by :func:`gs_op_rank`.
     """
 
     def __init__(self, local_ids: Sequence[np.ndarray]):
@@ -268,72 +270,6 @@ class GatherScatter:
             )
         self._rank_handles = handles
         return handles
-
-    # -------------------------------------------------------------- operation
-    def gs_op(
-        self,
-        values: Sequence[np.ndarray],
-        op: str = "+",
-        comm: Optional[SimComm] = None,
-    ) -> List[np.ndarray]:
-        """Reduce shared nodes across ranks; returns the updated fields.
-
-        ``values`` holds one array per rank, shaped like the ids given to
-        ``gs_init`` (plus an optional trailing component axis for vector
-        mode).  All copies of a global node end up with the reduced value.
-
-        This convenience interface runs :func:`gs_op_rank` on the simulated
-        substrate; if ``comm`` is given, message costs are charged to it in
-        a single communication phase (one pairwise exchange per sharing
-        pair), exactly as before the refactor.
-        """
-        from .exec.sim import run_sim
-
-        if op not in REDUCE_OPS:
-            raise ValueError(f"unknown op {op!r}; choose from {sorted(REDUCE_OPS)}")
-        if len(values) != self.p:
-            raise ValueError(f"expected {self.p} rank arrays, got {len(values)}")
-
-        widths = []
-        for r, v in enumerate(values):
-            v = np.asarray(v)
-            base = self.local_shapes[r]
-            if v.shape == base:
-                widths.append(1)
-            elif v.shape[: len(base)] == base and v.ndim == len(base) + 1:
-                widths.append(v.shape[-1])
-            else:
-                raise ValueError(
-                    f"rank {r}: value shape {v.shape} does not match ids {base}"
-                )
-        vec_width = widths[0]
-        odd = [r for r, w in enumerate(widths) if w != vec_width]
-        if odd:
-            raise ValueError(
-                f"ranks {odd} carry {widths[odd[0]]} components per value "
-                f"but rank 0 carries {vec_width}; all ranks must agree"
-            )
-        if comm is not None and comm.p != self.p:
-            raise ValueError("SimComm rank count does not match handle")
-
-        sim = comm if comm is not None else SimComm(ASCI_RED_333, self.p)
-        handles = self.rank_handles()
-        with trace("gs_op"):
-            out, _ = run_sim(
-                gs_op_rank,
-                [(handles[r], values[r], op) for r in range(self.p)],
-                sim,
-            )
-            # Each sharing pair exchanges its shared-node values both ways.
-            record_comm(
-                "gs",
-                op,
-                2 * len(self.pair_counts),
-                2.0 * vec_width * sum(self.pair_counts.values()),
-                ranks=self.p,
-                vec_width=vec_width,
-            )
-        return out
 
 
 def gs_init(local_ids: Sequence[np.ndarray], n: Optional[int] = None) -> GatherScatter:

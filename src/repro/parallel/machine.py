@@ -28,7 +28,23 @@ __all__ = [
     "ASCI_RED_333_PERF",
     "GENERIC_CLUSTER",
     "LOCALHOST_MP",
+    "level_sizes",
 ]
+
+
+def level_sizes(n_words_per_level, levels: int) -> list:
+    """Per-level message sizes of a ``levels``-deep fan-in/out tree.
+
+    A scalar is used at every level; a short sequence repeats its last
+    entry, a long one is cut to ``levels``.
+    """
+    try:
+        sizes = list(n_words_per_level)
+    except TypeError:
+        sizes = [float(n_words_per_level)] * levels
+    if len(sizes) < levels:
+        sizes = sizes + [sizes[-1]] * (levels - len(sizes))
+    return sizes[:levels]
 
 
 @dataclass(frozen=True)
@@ -90,14 +106,8 @@ class Machine:
         """
         if p <= 1:
             return 0.0
-        levels = math.ceil(math.log2(p))
-        try:
-            sizes = list(n_words_per_level)
-        except TypeError:
-            sizes = [float(n_words_per_level)] * levels
-        if len(sizes) < levels:
-            sizes = sizes + [sizes[-1]] * (levels - len(sizes))
-        return sum(2.0 * self.msg_time(s) for s in sizes[:levels])
+        sizes = level_sizes(n_words_per_level, math.ceil(math.log2(p)))
+        return sum(2.0 * self.msg_time(s) for s in sizes)
 
     def dual(self) -> "Machine":
         """The dual-processor (2 ranks/node SMP) variant of this machine."""

@@ -7,8 +7,8 @@ This module defines that model as an abstract :class:`Comm` protocol — the
 communication surface a *rank program* is written against — so the same
 program text runs unchanged on every substrate:
 
-* :class:`repro.parallel.exec.sim.SimRankComm` — virtual alpha-beta clocks
-  (the existing :class:`~repro.parallel.comm.SimComm` accountant underneath),
+* :class:`repro.parallel.exec.sim.SimRankComm` — cooperative threads on
+  virtual alpha-beta clocks,
 * :class:`repro.parallel.exec.mp.MpComm` — real ``multiprocessing`` workers
   with ``shared_memory`` payload transfer.
 
@@ -24,18 +24,25 @@ Cost accounting is part of the protocol: every implementation tallies a
 :class:`CommStats` per rank — messages, words, *measured* seconds and
 alpha-beta *modeled* seconds per operation kind — so one merged run report
 can show measured-vs-model per comm phase on any substrate (the repro's
-analogue of validating Table 4 against wall clocks).
+analogue of validating Table 4 against wall clocks).  The modeled side is
+one table, :func:`op_charge`, booked identically by every substrate; the
+measured side is wall time on real processes and the virtual clock's
+advance (which includes waiting for peers) on the simulator, so on either
+substrate ``measured - modeled`` is the time spent waiting.
 """
 
 from __future__ import annotations
 
 import abc
 import contextlib
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .machine import Machine, level_sizes
 
 __all__ = [
     "Comm",
@@ -45,6 +52,7 @@ __all__ = [
     "reduce_in_rank_order",
     "payload_words",
     "merge_stats",
+    "op_charge",
 ]
 
 #: reduction operators shared by every substrate: ufunc + identity element.
@@ -88,6 +96,59 @@ def payload_words(payload: Any) -> float:
     if isinstance(payload, (int, float, np.floating, np.integer)):
         return 1.0
     return 0.0
+
+
+def op_charge(
+    machine: Machine,
+    kind: str,
+    rank: int,
+    size: int,
+    words: float = 0.0,
+    words_per_level=None,
+) -> Tuple[int, float, float]:
+    """The alpha-beta charge one rank books for one comm op.
+
+    Returns ``(messages, words, seconds)``: the messages and words *this
+    rank sends* and the op's modeled time on ``machine``.  Every substrate
+    books exactly this, and the simulator also advances its virtual clocks
+    by the collectives' charge, so the modeled ledger of a run is the same
+    on all of them.  ``kind`` is one of
+
+    * ``exchange`` — one message of ``words`` each way, ``alpha + beta w``;
+    * ``send`` / ``recv`` — one-directional: the sender injects one message
+      and is free after ``alpha``; the receiver sends nothing and waits
+      ``alpha + beta w`` for the ``words`` it receives;
+    * ``allreduce`` — recursive doubling, one message per level;
+    * ``barrier`` — a latency-only tree, ``2 alpha`` per level;
+    * ``fan_in_out`` — a binomial tree: rank ``r`` sends up its parent link
+      (at the level of its lowest set bit) and down each child link, with
+      the level sizes of ``words_per_level`` (``words`` when omitted), so a
+      run books ``2 (P - 1)`` messages, ``2 sum_l ceil(P / 2^(l+1))`` at
+      ``P`` a power of two.
+
+    Collectives on one rank are free.
+    """
+    levels = math.ceil(math.log2(size)) if size > 1 else 0
+    if kind == "exchange":
+        return 1, words, machine.msg_time(words)
+    if kind == "send":
+        return 1, words, machine.alpha
+    if kind == "recv":
+        return 0, 0.0, machine.msg_time(words)
+    if kind == "allreduce":
+        return levels, levels * words, machine.allreduce_time(words, size)
+    if kind == "barrier":
+        return 0, 0.0, 2.0 * levels * machine.alpha
+    if kind == "fan_in_out":
+        per_level = words if words_per_level is None else words_per_level
+        sizes = level_sizes(per_level, levels)
+        links = [lvl for lvl in range(levels) if not rank % (2 << lvl)
+                 and rank + (1 << lvl) < size]  # child links, down
+        if rank:
+            links.append((rank & -rank).bit_length() - 1)  # parent link, up
+        sent = float(sum(sizes[lvl] for lvl in links))
+        return len(links), sent, machine.fan_in_out_time(per_level, size)
+    raise ValueError(f"unknown comm op {kind!r}")
 
 
 @dataclass
@@ -212,23 +273,27 @@ class Comm(abc.ABC):
       same per-channel order (loosely synchronous execution);
     * collectives fold data in ascending rank order
       (:func:`reduce_in_rank_order`) for cross-substrate bit parity;
-    * every op is accounted in :meth:`stats` per operation kind.
+    * every op is accounted in :meth:`stats` per operation kind, modeled
+      by :func:`op_charge` on :attr:`machine`.
     """
 
     #: this rank's id, 0-based
     rank: int
     #: number of ranks in the program
     size: int
+    #: the alpha-beta-gamma model every op is charged on
+    machine: Machine
+    _stats: CommStats
 
     # ------------------------------------------------------------- compute
     @abc.abstractmethod
     def compute(self, flops: float, mxm_fraction: float = 1.0) -> None:
         """Declare local computation.
 
-        On the simulated substrate this advances the rank's virtual clock
-        (the alpha-beta-gamma charge); on real substrates it is a no-op
-        hook that only tallies the declared flops — wall time is measured,
-        not modeled.
+        Every substrate tallies the declared flops and their
+        alpha-beta-gamma time in :meth:`stats`; the simulated substrate
+        also advances the rank's virtual clock by it, while real
+        substrates measure wall time instead.
         """
 
     # ---------------------------------------------------------- point-to-point
@@ -289,13 +354,35 @@ class Comm(abc.ABC):
         """
         return contextlib.nullcontext()
 
-    @abc.abstractmethod
     def stats(self) -> CommStats:
         """This rank's accumulated traffic/time accounting."""
+        return self._stats
 
     # ----------------------------------------------------------------- helpers
     def _words(self, payload: Any, words: Optional[float]) -> float:
         return float(words) if words is not None else payload_words(payload)
+
+    def _charge(self, kind: str, words: float = 0.0, words_per_level=None):
+        """This rank's :func:`op_charge` for one op."""
+        return op_charge(
+            self.machine, kind, self.rank, self.size, words, words_per_level
+        )
+
+    def _book(self, phase: str, measured: float, *charges) -> None:
+        """Book one call of ``phase``: the summed charges + measured time."""
+        self._stats.phase(phase).add(
+            sum(c[0] for c in charges),
+            sum(c[1] for c in charges),
+            measured,
+            sum(c[2] for c in charges),
+        )
+
+    def _book_compute(self, flops: float, mxm_fraction: float) -> float:
+        """Tally declared flops; returns their alpha-beta-gamma seconds."""
+        dt = self.machine.compute_time(flops, mxm_fraction)
+        self._stats.compute_flops += float(flops)
+        self._stats.compute_seconds += dt
+        return dt
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(rank={self.rank}, size={self.size})"

@@ -220,13 +220,13 @@ class DistributedSEMSolver:
         self.gs: GatherScatter = gs_init(
             [mesh.global_ids[e] for e in self.rank_elems]
         )
-        # Multiplicity weights for the unique-dof inner product.
-        ones = [np.ones(mesh.global_ids[e].shape) for e in self.rank_elems]
-        mult = self.gs.gs_op(ones, "+")
-        self._inv_mult = [1.0 / m for m in mult]
+        self._assembler = Assembler.for_mesh(mesh)
+        # Multiplicity weights for the unique-dof inner product: the copy
+        # counts are exact integers, so the serial assembler's equal what a
+        # gather-scatter of ones would give.
+        self._inv_mult = self._split(1.0 / self._assembler.multiplicity)
 
         # Assembled diagonal for Jacobi (serial precompute; shared setup).
-        self._assembler = Assembler.for_mesh(mesh)
         dia = self._assembler.dssum(self.op.diagonal())
         dia = self.mask.apply(dia) + self.mask.constrained.astype(float)
         self._inv_dia = 1.0 / dia

@@ -77,6 +77,21 @@ class TestCLI:
         assert "cache:" in out and "hit rate" in out
         assert "batching" not in out
 
+    def test_report_with_ranks_profiles_gather_scatter(self, tmp_path):
+        from repro import obs
+
+        out = tmp_path / "report.json"
+        assert main(["report", "--steps", "2", "--elements", "2", "--order", "4",
+                     "--ranks", "2", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        obs.validate_report(doc)
+        gs_seconds = [v["value"] for v in doc["values"]
+                      if v["name"] == "gs_simulated_seconds"]
+        assert len(gs_seconds) == 1 and gs_seconds[0] > 0
+        gs = [c for c in doc["comm"]["records"] if c["kind"] == "gs"]
+        assert len(gs) == 1 and gs[0]["messages"] > 0
+        assert doc["comm"]["totals"]["messages"] >= gs[0]["messages"]
+
     def test_serve_emits_result_lines_and_summary(self, capsys, monkeypatch):
         spec = {"workload": "table2", "params": {"level": 0, "order": 3},
                 "config": {"maxiter": 200}}

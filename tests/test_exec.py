@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.parallel.comm import SimComm
 from repro.parallel.exec import (
     EXECUTORS,
     SPMDTimeoutError,
@@ -159,9 +158,8 @@ class TestRegistry:
         with pytest.raises(ValueError):
             run_spmd(prog_rank_collect, [(), ()], ranks=3, executor="sim")
 
-    def test_ranks_from_simcomm(self):
-        sim = SimComm(M, 3)
-        run = run_spmd(prog_rank_collect, [()] * 3, executor="sim", simcomm=sim)
+    def test_ranks_default_to_rank_args(self):
+        run = run_spmd(prog_rank_collect, [()] * 3, executor="sim", machine=M)
         assert run.results == [(0, 3), (1, 3), (2, 3)]
 
 
@@ -212,12 +210,6 @@ class TestSubstrates:
 
 
 class TestSimSubstrate:
-    def test_charges_accumulate_on_caller_simcomm(self):
-        sim = SimComm(M, 2)
-        run_spmd(prog_stats, [()] * 2, executor="sim", simcomm=sim)
-        assert sim.message_count > 0
-        assert sim.elapsed() > 0
-
     def test_worker_exception_propagates_original_type(self):
         with pytest.raises(np.linalg.LinAlgError):
             run_spmd(prog_fail_on_one, [()] * 2, ranks=2, executor="sim", machine=M)
@@ -225,9 +217,9 @@ class TestSimSubstrate:
     def test_virtual_clocks_deterministic(self):
         reports = []
         for _ in range(3):
-            sim = SimComm(M, 4)
-            run_spmd(prog_exchange_ring, [(64,)] * 4, executor="sim", simcomm=sim)
-            reports.append((tuple(sim.clock), sim.message_count, sim.message_words))
+            run = run_spmd(prog_exchange_ring, [(64,)] * 4, executor="sim", machine=M)
+            reports.append((run.modeled_seconds,
+                            [s.as_dict() for s in run.stats]))
         assert reports[0] == reports[1] == reports[2]
 
 

@@ -4,12 +4,23 @@ import numpy as np
 import pytest
 
 from repro.core.mesh import box_mesh_2d
-from repro.parallel.comm import SimComm
-from repro.parallel.gs import GatherScatter, gs_init
+from repro.parallel.exec import run_spmd
+from repro.parallel.gs import GatherScatter, gs_init, gs_op_rank
 from repro.parallel.machine import Machine
 from repro.parallel.partition import recursive_spectral_bisection
 
 M = Machine("t", alpha=1e-5, beta=1e-8, mxm_rate=1e8, other_rate=1e7)
+
+
+def _gs_run(h, values, op="+", program=gs_op_rank):
+    """Run a gather-scatter rank program on simulated ranks of handle ``h``."""
+    args = [(hr, v, op) for hr, v in zip(h.rank_handles(), values)]
+    return run_spmd(program, args, ranks=h.p, executor="sim", machine=M)
+
+
+def _gs(h, values, op="+"):
+    """Per-rank gather-scatter results, as the kernel's callers see them."""
+    return _gs_run(h, values, op).results
 
 
 def two_rank_handle():
@@ -38,38 +49,38 @@ class TestSetup:
 class TestGsOp:
     def test_sum_shared(self):
         h = two_rank_handle()
-        out = h.gs_op([np.array([1.0, 2, 3, 4]), np.array([10.0, 20, 30, 40])])
+        out = _gs(h, [np.array([1.0, 2, 3, 4]), np.array([10.0, 20, 30, 40])])
         assert np.allclose(out[0], [1, 2, 13, 24])
         assert np.allclose(out[1], [13, 24, 30, 40])
 
     def test_max_and_min(self):
         h = two_rank_handle()
         a = [np.array([1.0, 2, 3, 4]), np.array([10.0, -20, 30, 40])]
-        mx = h.gs_op(a, op="max")
-        mn = h.gs_op(a, op="min")
+        mx = _gs(h, a, op="max")
+        mn = _gs(h, a, op="min")
         assert mx[0][2] == 10.0 and mn[1][1] == -20.0
 
     def test_multiply(self):
         h = two_rank_handle()
-        out = h.gs_op([np.ones(4) * 2, np.ones(4) * 3], op="*")
+        out = _gs(h, [np.ones(4) * 2, np.ones(4) * 3], op="*")
         assert out[0][2] == pytest.approx(6.0)
         assert out[0][0] == pytest.approx(2.0)
 
     def test_unknown_op(self):
         h = two_rank_handle()
         with pytest.raises(ValueError):
-            h.gs_op([np.zeros(4), np.zeros(4)], op="xor")
+            _gs(h, [np.zeros(4), np.zeros(4)], op="xor")
 
     def test_intra_rank_duplicates_summed(self):
         h = gs_init([np.array([0, 0, 1])])
-        out = h.gs_op([np.array([1.0, 2.0, 5.0])])
+        out = _gs(h, [np.array([1.0, 2.0, 5.0])])
         assert np.allclose(out[0], [3, 3, 5])
 
     def test_vector_mode(self):
         h = two_rank_handle()
         v0 = np.arange(8.0).reshape(4, 2)
         v1 = np.arange(8.0, 16.0).reshape(4, 2)
-        out = h.gs_op([v0, v1])
+        out = _gs(h, [v0, v1])
         assert out[0].shape == (4, 2)
         assert np.allclose(out[0][2], v0[2] + v1[0])
         assert np.allclose(out[1][1], v0[3] + v1[1])
@@ -77,32 +88,26 @@ class TestGsOp:
     def test_shape_mismatch_raises(self):
         h = two_rank_handle()
         with pytest.raises(ValueError):
-            h.gs_op([np.zeros(3), np.zeros(4)])
+            _gs(h, [np.zeros(3), np.zeros(4)])
 
     def test_wrong_rank_count(self):
         h = two_rank_handle()
         with pytest.raises(ValueError):
-            h.gs_op([np.zeros(4)])
+            _gs(h, [np.zeros(4)])
 
 
 class TestCostAccounting:
     def test_comm_charged_once_per_pair(self):
         h = two_rank_handle()
-        comm = SimComm(M, 2)
-        h.gs_op([np.zeros(4), np.zeros(4)], comm=comm)
-        assert comm.message_count == 2  # one bidirectional exchange
-        assert comm.message_words == 4  # 2 shared ids each way
+        row = _gs_run(h, [np.zeros(4), np.zeros(4)]).merged["phases"]["exchange"]
+        assert row["messages"] == 2  # one bidirectional exchange
+        assert row["words"] == 4  # 2 shared ids each way
+        assert row["modeled_seconds_max"] == M.msg_time(2)
 
     def test_vector_mode_scales_volume(self):
         h = two_rank_handle()
-        comm = SimComm(M, 2)
-        h.gs_op([np.zeros((4, 3)), np.zeros((4, 3))], comm=comm)
-        assert comm.message_words == 12
-
-    def test_comm_rank_mismatch(self):
-        h = two_rank_handle()
-        with pytest.raises(ValueError):
-            h.gs_op([np.zeros(4), np.zeros(4)], comm=SimComm(M, 3))
+        run = _gs_run(h, [np.zeros((4, 3)), np.zeros((4, 3))])
+        assert run.merged["phases"]["exchange"]["words"] == 12
 
 
 class TestAgainstSerialAssembler:
@@ -123,7 +128,7 @@ class TestAgainstSerialAssembler:
         ids = [mesh.global_ids[part == p] for p in range(4)]
         vals = [u[part == p] for p in range(4)]
         h = gs_init(ids)
-        out = h.gs_op(vals)
+        out = _gs(h, vals)
         for p in range(4):
             assert np.allclose(out[p], expect[part == p])
 
@@ -312,52 +317,44 @@ class TestBincountPreReduceMatchesAddAt:
     @pytest.mark.parametrize("width", [1, 3])
     @pytest.mark.parametrize("which", ["box3d", "periodic2d"])
     def test_sum_bitwise(self, which, width, p):
-        from repro.parallel.exec.sim import run_sim
-
         mesh = _oracle_meshes()[which]
         part, ids = _partitioned_ids(mesh, p)
         rng = np.random.default_rng(7 + p + width)
         u = rng.standard_normal(mesh.local_shape + ((width,) if width > 1 else ()))
         vals = [u[part == r] for r in range(p)]
         h = gs_init(ids)
-        got = h.gs_op(vals, "+")
-        want, _ = run_sim(_add_at_gs_op_rank,
-                          [(hr, v, "+") for hr, v in zip(h.rank_handles(), vals)],
-                          SimComm(M, p))
+        got = _gs(h, vals, "+")
+        want = _gs_run(h, vals, "+", program=_add_at_gs_op_rank).results
         for a, b in zip(got, want):
             assert a.shape == b.shape
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("op", ["*", "max", "min"])
     def test_other_ops_unchanged(self, op):
-        from repro.parallel.exec.sim import run_sim
-
         mesh = _oracle_meshes()["periodic2d"]
         part, ids = _partitioned_ids(mesh, 4)
         rng = np.random.default_rng(3)
         u = 1.0 + 0.1 * rng.standard_normal(mesh.local_shape + (2,))
         vals = [u[part == r] for r in range(4)]
         h = gs_init(ids)
-        want, _ = run_sim(_add_at_gs_op_rank,
-                          [(hr, v, op) for hr, v in zip(h.rank_handles(), vals)],
-                          SimComm(M, 4))
-        for a, b in zip(h.gs_op(vals, op), want):
+        want = _gs_run(h, vals, op, program=_add_at_gs_op_rank).results
+        for a, b in zip(_gs(h, vals, op), want):
             assert np.array_equal(a, b)
 
     def test_signed_zeros_match(self):
         h = gs_init([np.array([0, 0, 1]), np.array([1, 2])])
         vals = [np.array([-0.0, -0.0, -0.0]), np.array([-0.0, -0.0])]
-        out = h.gs_op(vals)
+        out = _gs(h, vals)
         assert not np.signbit(out[0]).any() and not np.signbit(out[1]).any()
 
 
 class TestComponentWidthCheck:
-    def test_mixed_widths_rejected_before_any_rank_runs(self):
+    def test_mixed_widths_rejected(self):
         h = two_rank_handle()
-        with pytest.raises(ValueError, match=r"ranks \[1\].*rank 0"):
-            h.gs_op([np.zeros(4), np.zeros((4, 3))])
+        with pytest.raises(ValueError, match="components"):
+            _gs(h, [np.zeros(4), np.zeros((4, 3))])
 
     def test_two_different_vector_widths_rejected(self):
         h = two_rank_handle()
         with pytest.raises(ValueError, match="components"):
-            h.gs_op([np.zeros((4, 2)), np.zeros((4, 3))])
+            _gs(h, [np.zeros((4, 2)), np.zeros((4, 3))])

@@ -232,9 +232,10 @@ def test_mass_integral_linearity_and_positivity(order, seed):
     op=st.sampled_from(["+", "max", "min"]),
 )
 def test_gs_matches_serial_for_random_partitions(n_parts, seed, op):
-    """gs_op over any element partition reproduces the serial reduction."""
+    """gs_op_rank over any element partition reproduces the serial reduction."""
     from repro.core.mesh import box_mesh_2d
-    from repro.parallel.gs import gs_init
+    from repro.parallel.exec import run_spmd
+    from repro.parallel.gs import gs_init, gs_op_rank
 
     mesh = box_mesh_2d(4, 3, 3)
     rng = np.random.default_rng(seed)
@@ -245,7 +246,8 @@ def test_gs_matches_serial_for_random_partitions(n_parts, seed, op):
     serial = {"+": asm.dssum, "max": asm.dsmax, "min": asm.dsmin}[op](u)
     ids = [mesh.global_ids[part == p] for p in range(n_parts)]
     vals = [u[part == p] for p in range(n_parts)]
-    out = gs_init(ids).gs_op(vals, op)
+    handles = gs_init(ids).rank_handles()
+    out = run_spmd(gs_op_rank, [(h, v, op) for h, v in zip(handles, vals)]).results
     for p in range(n_parts):
         assert np.allclose(out[p], serial[part == p])
 

@@ -43,6 +43,21 @@ class TestCorrectness:
         ref = serial_reference(mesh, 1.0, 1.0, f)
         assert np.max(np.abs(res.x - ref)) < 1e-7
 
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_inv_mult_equals_gather_scatter_of_ones(self, p):
+        """The serial assembler's multiplicity is the gather-scatter sum of
+        ones (exact integer counts), so the inner-product weights match a
+        rank-program run bitwise."""
+        from repro.parallel.gs import gs_op_rank
+
+        mesh = box_mesh_3d(3, 3, 2, 3)
+        solver = DistributedSEMSolver(mesh, M, p)
+        args = [(h, np.ones(mesh.global_ids[e].shape), "+")
+                for h, e in zip(solver.gs.rank_handles(), solver.rank_elems)]
+        counts = run_spmd(gs_op_rank, args, executor="sim").results
+        for got, m in zip(solver._inv_mult, counts):
+            assert np.array_equal(got, 1.0 / m)
+
     def test_3d_problem(self):
         mesh = box_mesh_3d(2, 2, 2, 3)
         f = mesh.eval_function(lambda x, y, z: x * y + z)
