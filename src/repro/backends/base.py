@@ -66,6 +66,14 @@ class Workspace:
             buffers = self._tls.buffers = {}
         return buffers
 
+    @property
+    def plans(self) -> Dict:
+        """This thread's bound stage plans (:func:`repro.backends.dispatch.stage_plan`)."""
+        plans = getattr(self._tls, "plans", None)
+        if plans is None:
+            plans = self._tls.plans = {}
+        return plans
+
     def get(self, name: str, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """Return the buffer for ``(name, shape)``, allocating it on first use."""
         key = (name, tuple(shape), np.dtype(dtype))
@@ -82,8 +90,9 @@ class Workspace:
         return buf
 
     def clear(self) -> None:
-        """Drop every buffer (e.g. after a mesh change)."""
+        """Drop every buffer and the plans bound to them (e.g. after a mesh change)."""
         self._buffers.clear()
+        self.plans.clear()
 
     @property
     def nbytes(self) -> int:

@@ -27,15 +27,21 @@ The registry is fixed at import: the three numpy kernels ``matmul``,
 / the ``--backend`` CLI flag.  :func:`backend_report` exposes the tuner's
 choices and per-shape hit counts; :func:`backend_tallies` aggregates
 dispatch counts per backend for the run report.
+
+A hot operator apply whose ``apply_1d`` stages repeat in a fixed order
+(the E apply's D and D^T) runs them through a :class:`StagePlan` instead:
+each stage is validated and resolved once, then replayed as a bare kernel
+call, with the same tallies made once per apply (see :func:`stage_plan`).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +64,8 @@ __all__ = [
     "grad_transpose",
     "batched_matvec",
     "apply_tensor",
+    "StagePlan",
+    "stage_plan",
 ]
 
 #: sentinel "direction" used in dispatch keys for batched matvec calls,
@@ -122,15 +130,25 @@ class AutoTuneDispatcher(KernelBackend):
         return (op.shape, u.shape, direction)
 
     # --------------------------------------------------------- kernel points
-    def apply_1d(self, op, u, direction, out: Optional[np.ndarray] = None):
+    def _choose_1d(self, op, u, direction) -> Tuple[Tuple, KernelBackend]:
+        """Signature and winning backend of an ``apply_1d`` call.
+
+        Tunes on a miss; counts no hit (the caller does, per call or, for a
+        :class:`StagePlan`, per apply).
+        """
         key = self.signature(op, u, direction)
         shape = list(u.shape)
         shape[u.ndim - 1 - direction] = op.shape[0]
-        backend = self._resolve(
+        backend = self._choose(
             key,
             lambda b, scratch: b.apply_1d(op, u, direction, out=scratch),
             tuple(shape),
         )
+        return key, backend
+
+    def apply_1d(self, op, u, direction, out: Optional[np.ndarray] = None):
+        key, backend = self._choose_1d(op, u, direction)
+        self.hits[key] = self.hits.get(key, 0) + 1
         return backend.apply_1d(op, u, direction, out=out)
 
     def batched_matvec(self, mats, vecs, out: Optional[np.ndarray] = None):
@@ -161,11 +179,16 @@ class AutoTuneDispatcher(KernelBackend):
 
     # ---------------------------------------------------------------- tuning
     def _resolve(self, key, call, scratch_shape) -> KernelBackend:
+        """The winning backend for ``key``, tuning on a miss; counts one hit."""
+        backend = self._choose(key, call, scratch_shape)
+        self.hits[key] = self.hits.get(key, 0) + 1
+        return backend
+
+    def _choose(self, key, call, scratch_shape) -> KernelBackend:
         """The winning backend for ``key``, tuning on a miss."""
         name = self.choices.get(key)
         if name is None:
             name = self._tune(key, call, scratch_shape)
-        self.hits[key] = self.hits.get(key, 0) + 1
         return _REGISTRY[name]
 
     def _tune(self, key, call, scratch_shape) -> str:
@@ -196,11 +219,12 @@ class AutoTuneDispatcher(KernelBackend):
             return best_name
 
     def reset(self) -> None:
-        """Forget all tuning decisions and hit counts."""
+        """Forget all tuning decisions and hit counts (bound plans rebind)."""
         with self._tune_lock:
             self.choices.clear()
             self.hits.clear()
             self.timings.clear()
+        _new_epoch()
 
     def report(self) -> str:
         """Chosen kernel and hit count per tuned shape (observability)."""
@@ -229,11 +253,24 @@ _DISPATCHER = AutoTuneDispatcher()
 #: the backend all library kernels currently route through.
 _ACTIVE: KernelBackend = _DISPATCHER
 
+#: Bumped whenever the kernel a signature resolves to may change: by
+#: set_backend, by use_backend on enter and on exit, and by the tuner's
+#: reset().  A StagePlan bound under an older epoch rebinds on its next
+#: apply.  ``next()`` on the counter is atomic, so no bump is lost.
+_EPOCHS = itertools.count(1)
+_EPOCH = 0
+
+
+def _new_epoch() -> None:
+    global _EPOCH
+    _EPOCH = next(_EPOCHS)
+
 
 def set_backend(name: str) -> KernelBackend:
     """Select the process-wide kernel backend (``auto`` = tuned dispatch)."""
     global _ACTIVE
     _ACTIVE = get_backend(name)
+    _new_epoch()
     return _ACTIVE
 
 
@@ -248,10 +285,12 @@ def use_backend(name: str) -> Iterator[KernelBackend]:
     global _ACTIVE
     prev = _ACTIVE
     _ACTIVE = get_backend(name)
+    _new_epoch()
     try:
         yield _ACTIVE
     finally:
         _ACTIVE = prev
+        _new_epoch()
 
 
 def backend_report() -> str:
@@ -360,13 +399,8 @@ def _check_out(out: np.ndarray, expected: Tuple[int, ...], *inputs) -> None:
             )
 
 
-def apply_1d(
-    op: np.ndarray,
-    u: np.ndarray,
-    direction: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Validated, flop-counted ``apply_1d`` through the active backend."""
+def _checked_1d(op, u, direction, out) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Sanitized ``(op, u)`` of an ``apply_1d`` call and its flop count."""
     op = _sanitize(op)
     u = _sanitize(u)
     if op.ndim != 2:
@@ -387,8 +421,112 @@ def apply_1d(
         expected = list(u.shape)
         expected[axis] = m
         _check_out(out, tuple(expected), u)
-    add_flops(2.0 * m * n * (u.size // n), "mxm")
+    return op, u, 2.0 * m * n * (u.size // n)
+
+
+def apply_1d(
+    op: np.ndarray,
+    u: np.ndarray,
+    direction: int,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Validated, flop-counted ``apply_1d`` through the active backend."""
+    op, u, flops = _checked_1d(op, u, direction, out)
+    add_flops(flops, "mxm")
     return _ACTIVE.apply_1d(op, u, direction, out=out)
+
+
+class _Stage(NamedTuple):
+    kernel: Callable  # the resolved backend's bound apply_1d
+    op: np.ndarray  # sanitized operator
+    direction: int
+    out: Optional[np.ndarray]  # bound scratch; None when the caller passes out
+
+
+class StagePlan:
+    """One operator apply's ``apply_1d`` stages, resolved once and replayed.
+
+    The apply that meets a fresh plan *binds* it: each :meth:`stage` call is
+    sanitized and validated exactly as :func:`apply_1d` validates, its
+    kernel is resolved (the tuner's choice, tuned on a miss, or the fixed
+    active backend) and its scratch buffer taken from the owner's
+    workspace.  Every later apply replays: stage ``i`` is one bare kernel
+    call on the same operands into the same buffer, so results are
+    bitwise those of the per-call path.  :meth:`finish` tallies each
+    apply as the per-call path would: one ``add_flops`` of the stage sum
+    and one dispatcher hit update per distinct signature.
+
+    A plan is only valid while its owner calls the same stages in the
+    same order on arrays of the bound shapes, and validates its own
+    arrays (shape, C-contiguous float64) once per apply.  Get one per
+    apply from :func:`stage_plan`.
+    """
+
+    __slots__ = ("epoch", "bound", "_ws", "_stages", "_cursor", "_flops", "_hits")
+
+    def __init__(self, workspace: Workspace):
+        self.epoch = _EPOCH  # read before any stage resolves its kernel
+        self.bound = False
+        self._ws = workspace
+        self._stages: List[_Stage] = []
+        self._cursor = 0
+        self._flops = 0.0
+        self._hits: Dict[Tuple, int] = {}
+
+    def stage(
+        self,
+        name: str,
+        op: np.ndarray,
+        u: np.ndarray,
+        direction: int,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """``op`` along ``direction`` of ``u``, into ``out`` or scratch ``name``."""
+        if self.bound:
+            kernel, op, direction, buf = self._stages[self._cursor]
+            self._cursor += 1
+            return kernel(op, u, direction, out=buf if out is None else out)
+        buf = None
+        if out is None:
+            shape = list(u.shape)
+            shape[u.ndim - 1 - direction] = op.shape[0]
+            buf = out = self._ws.get(name, tuple(shape))
+        op, u, flops = _checked_1d(op, u, direction, out)
+        backend = _ACTIVE
+        if backend is _DISPATCHER:
+            key, backend = _DISPATCHER._choose_1d(op, u, direction)
+            self._hits[key] = self._hits.get(key, 0) + 1
+        self._flops += flops
+        self._stages.append(_Stage(backend.apply_1d, op, direction, buf))
+        return backend.apply_1d(op, u, direction, out=out)
+
+    def finish(self) -> None:
+        """End one apply: tally its flops and dispatcher hits; bound from now on."""
+        self.bound = True
+        # A bound plan needs no workspace; keeping it would close a
+        # workspace -> plan -> workspace cycle and hold a dropped
+        # operator's buffers until the next garbage collection.
+        self._ws = None
+        add_flops(self._flops, "mxm")
+        hits = _DISPATCHER.hits
+        for key, n in self._hits.items():
+            hits[key] = hits.get(key, 0) + n
+
+
+def stage_plan(workspace: Workspace, key) -> StagePlan:
+    """The calling thread's plan ``key`` in ``workspace``, ready for one apply.
+
+    A new plan (bound by this apply) replaces one that never finished
+    binding or was bound before the last backend switch or tuner reset.
+    Plans live beside the workspace's per-thread buffers, so concurrent
+    threads never share a plan or the scratch it binds.
+    """
+    plans = workspace.plans
+    plan = plans.get(key)
+    if plan is None or not plan.bound or plan.epoch != _EPOCH:
+        plan = plans[key] = StagePlan(workspace)
+    plan._cursor = 0
+    return plan
 
 
 def batched_matvec(
@@ -438,7 +576,8 @@ def apply_tensor(
     Result placement: ``out`` when given; else a ``workspace``-owned
     buffer when a workspace is given (same ownership contract as the
     pre-fusion implementation — copy or consume before the next
-    workspace-using call); else a fresh allocation.
+    workspace-using call); else a fresh allocation.  All-``None`` ``ops``
+    copy ``u`` to that place.
     """
     u = _sanitize(u)
     ndim = u.ndim - 1
@@ -474,16 +613,21 @@ def apply_tensor(
         flops += 2.0 * m * n * (size // n)
         size = (size // n) * m
         shape[axis] = m
-    if all(op is None for op in ops_s):
-        return u
     result_shape = tuple(shape)
     if out is not None:
         _check_out(out, result_shape, u)
-    add_flops(flops, "mxm")
-    if out is None and workspace is not None:
+    elif workspace is not None:
         out = workspace.get("apply_tensor_out", result_shape)
         if np.may_share_memory(out, u):
             out = np.empty(result_shape)
+    if all(op is None for op in ops_s):
+        # All identity: no kernel runs and no flop is tallied, but the
+        # result is still placed like any other, never ``u`` itself.
+        if out is None:
+            return u.copy()
+        np.copyto(out, u)
+        return out
+    add_flops(flops, "mxm")
     return _ACTIVE.apply_tensor(ops_s, u, out=out)
 
 

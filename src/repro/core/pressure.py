@@ -28,6 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..backends.base import Workspace
+from ..backends.dispatch import stage_plan
 from ..obs.trace import trace
 from ..perf.flops import add_flops
 from .assembly import Assembler, DirichletMask
@@ -35,7 +36,7 @@ from .basis import gl_to_gll_matrix, gll_derivative_matrix, gll_to_gl_matrix
 from .element import GeomFactors, geometric_factors
 from .mesh import Mesh
 from .quadrature import gl_weights
-from .tensor import apply_1d, apply_tensor
+from .tensor import apply_tensor
 
 __all__ = ["PressureOperator"]
 
@@ -157,15 +158,6 @@ class PressureOperator:
         return float(np.sqrt(max(self.dot(p, p), 0.0)))
 
     # ----------------------------------------------------------- D and D^T
-    def _stage(self, name: str, op: np.ndarray, v: np.ndarray, a: int,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``op`` along direction ``a`` of ``v``, into ``out`` or scratch ``name``."""
-        if out is None:
-            shape = list(v.shape)
-            shape[v.ndim - 1 - a] = op.shape[0]
-            out = self._ws.get(name, tuple(shape))
-        return apply_1d(op, v, a, out=out)
-
     def apply_div(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Weak divergence ``D u``: velocity ``(nd, K, n...)`` -> pressure grid.
 
@@ -177,31 +169,35 @@ class PressureOperator:
         directions shared by the terms below it.  In 3-D
         ``G_t = J_r J_s JD_t u``, ``G_s = J_r JD_s (J_t u)`` and
         ``G_r = JD_r J_s (J_t u)``: 8 stages instead of 12 plus 3
-        derivatives.  All contractions run through the kernel backend;
-        scratch comes from the operator's workspace (``out`` is overwritten).
+        derivatives.  All contractions run as this thread's bound stage
+        plan (:class:`repro.backends.dispatch.StagePlan`); scratch comes
+        from the operator's workspace (``out`` is overwritten).
         """
         nd = self.mesh.ndim
-        u = np.asarray(u)
+        # The plan's first stages read u[c]: one sanitize per apply.
+        u = np.ascontiguousarray(u, dtype=np.float64)
         _check_shape("u", u.shape, (nd,) + self.mesh.local_shape)
         if out is None:
             out = np.empty(self.p_shape)
         _check_shape("out", out.shape, self.p_shape)
         out.fill(0.0)
+        plan = stage_plan(self._ws, "div")
         g = self._ws.get("div_g", (nd,) + self.p_shape)
         for c in range(nd):
             part = u[c]
             for a in reversed(range(nd)):
                 v = part
                 for b in reversed(range(a + 1)):
-                    v = self._stage("div_stage", self.jd if b == a else self.j_down,
-                                    v, b, out=g[a] if b == 0 else None)
+                    v = plan.stage("div_stage", self.jd if b == a else self.j_down,
+                                   v, b, out=g[a] if b == 0 else None)
                 if a > 0:
-                    part = self._stage("div_part", self.j_down, part, a)
+                    part = plan.stage("div_part", self.j_down, part, a)
             # c outer, a inner: this summation order is load-bearing for
             # the pressure iteration counts.
             for a in range(nd):
                 g[a] *= self.wcof[a, c]
                 out += g[a]
+        plan.finish()
         add_flops(2 * nd * nd * out.size, "pointwise")
         return out
 
@@ -224,12 +220,16 @@ class PressureOperator:
         if out is None:
             out = np.empty(vshape)
         _check_shape("out", out.shape, vshape)
+        # The plan's last lifts write out[c]: one check per apply.
+        if out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous float64 array")
+        plan = stage_plan(self._ws, "div_t")
         q = self._ws.get("divt_q", self.p_shape)
         for c in range(nd):
             for a in range(nd):
                 v = np.multiply(self.wcof[a, c], p, out=q)
                 for b in range(a + 1):
-                    v = self._stage("divt_stage", self._jdt if b == a else self._jt, v, b)
+                    v = plan.stage("divt_stage", self._jdt if b == a else self._jt, v, b)
                 if a == 0:
                     acc = v
                 else:
@@ -237,8 +237,9 @@ class PressureOperator:
                 if a + 1 < nd:
                     # Lift the partial sum along the next direction; the
                     # last lift lands in the result.
-                    acc = self._stage("divt_acc", self._jt, acc, a + 1,
-                                      out=out[c] if a + 2 == nd else None)
+                    acc = plan.stage("divt_acc", self._jt, acc, a + 1,
+                                     out=out[c] if a + 2 == nd else None)
+        plan.finish()
         add_flops(nd * nd * p.size, "pointwise")
         return out
 
@@ -268,5 +269,5 @@ class PressureOperator:
         with trace("e_apply"):
             out = self.apply_e(p)
             if self.has_nullspace:
-                out = out - float(np.sum(out) / out.size)
+                out -= float(np.sum(out) / out.size)
             return out

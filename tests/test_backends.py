@@ -449,9 +449,21 @@ class TestSelectionValidation:
 
 
 class TestApplyTensorDispatch:
-    def test_all_identity_returns_input(self):
+    def test_all_identity_places_a_copy(self):
+        from repro.backends.base import Workspace
+
         u = np.random.default_rng(5).standard_normal((3, 4, 4))
-        assert dispatch.apply_tensor((None, None), u) is u
+        ws = Workspace()
+        buf = np.zeros_like(u)
+        with counting() as fc:
+            fresh = dispatch.apply_tensor((None, None), u)
+            into = dispatch.apply_tensor((None, None), u, out=buf)
+            pooled = dispatch.apply_tensor((None, None), u, workspace=ws)
+        assert fresh is not u and np.array_equal(fresh, u)
+        assert into is buf and np.array_equal(buf, u)
+        assert pooled is ws.get("apply_tensor_out", u.shape)
+        assert np.array_equal(pooled, u)
+        assert fc.total() == 0.0
 
     def test_workspace_owns_result(self):
         from repro.backends.base import Workspace
