@@ -12,14 +12,13 @@ MODULES = [
     "repro.core.quadrature", "repro.core.basis", "repro.core.tensor",
     "repro.core.mesh", "repro.core.element", "repro.core.assembly",
     "repro.core.operators", "repro.core.pressure", "repro.core.filters",
-    "repro.core.evaluation", "repro.core.io",
     "repro.solvers.cg", "repro.solvers.jacobi", "repro.solvers.schwarz",
     "repro.solvers.fdm", "repro.solvers.static_condensation",
     "repro.solvers.condensed", "repro.solvers.coarse",
     "repro.solvers.projection", "repro.solvers.xxt",
     "repro.solvers.pmultigrid", "repro.solvers.chebyshev",
     "repro.ns.bcs", "repro.ns.convection", "repro.ns.navier_stokes",
-    "repro.ns.scalar", "repro.ns.stokes", "repro.ns.diagnostics",
+    "repro.ns.scalar", "repro.ns.diagnostics",
     "repro.parallel.machine", "repro.parallel.protocol",
     "repro.parallel.exec", "repro.parallel.exec.sim", "repro.parallel.exec.mp",
     "repro.parallel.gs",

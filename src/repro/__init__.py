@@ -40,20 +40,11 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-from .api import (
-    RunSpec,
-    SolverConfig,
-    navier_stokes_solver,
-    poisson_solver,
-    stokes_solver,
-    table2_case,
-)
+from .api import RunSpec, SolverConfig, poisson_solver
 from .core.assembly import Assembler, DirichletMask
 from .core.element import GeomFactors, geometric_factors
-from .core.evaluation import FieldEvaluator, transfer_field
-from .core.io import load_checkpoint, save_checkpoint, save_vtk
 from .core.filters import FieldFilter
-from .core.mesh import Mesh, box_mesh_2d, box_mesh_3d, extrude_mesh, map_mesh, refine_mesh
+from .core.mesh import Mesh, box_mesh_2d, box_mesh_3d, map_mesh
 from .core.operators import (
     HelmholtzOperator,
     LaplaceOperator,
@@ -68,7 +59,6 @@ from .ns.bcs import ScalarBC, VelocityBC
 from .ns.diagnostics import FlowDiagnostics
 from .ns.navier_stokes import NavierStokesSolver, StepStats
 from .ns.scalar import BoussinesqCoupling, ScalarTransport
-from .ns.stokes import StokesResult, StokesSolver
 from .solvers.cg import CGResult, pcg
 from .solvers.condensed import (
     CondensedPoissonSolver,
@@ -90,7 +80,6 @@ __all__ = [
     "CondensedPoissonSolver",
     "CondensedResult",
     "DirichletMask",
-    "FieldEvaluator",
     "FlowDiagnostics",
     "FieldFilter",
     "GeomFactors",
@@ -109,31 +98,20 @@ __all__ = [
     "SEMSystem",
     "SolutionProjector",
     "SolverConfig",
-    "StokesResult",
-    "StokesSolver",
     "StepStats",
     "VelocityBC",
     "XXTSolver",
     "box_mesh_2d",
     "box_mesh_3d",
-    "extrude_mesh",
     "build_helmholtz_system",
     "build_p_hierarchy",
     "build_poisson_system",
     "geometric_factors",
     "jacobi_preconditioner",
-    "load_checkpoint",
-    "save_checkpoint",
-    "save_vtk",
-    "transfer_field",
     "map_mesh",
-    "navier_stokes_solver",
     "obs",
     "pcg",
     "poisson_solver",
-    "refine_mesh",
     "service",
-    "stokes_solver",
-    "table2_case",
     "__version__",
 ]

@@ -1,10 +1,11 @@
-"""Unified construction API: typed configs and one facade for every solver.
+"""Unified construction API: one typed config, one run spec, and the
+cache-routing facades.
 
 Historically each solver front door grew its own ad-hoc keyword spelling
 of the same decisions — ``NavierStokesSolver(pressure_variant=...)``,
-``Table2Case.run(variant=...)``, ``StokesSolver(pressure_tol=...)`` — which
-made programmatic sweeps (the service layer's bread and butter) stringly
-and error-prone.  This module is the single typed vocabulary:
+``Table2Case.run(variant=...)`` — which made programmatic sweeps (the
+service layer's bread and butter) stringly and error-prone.  This module
+is the single typed vocabulary:
 
 * :class:`SolverConfig` — every solver-stack decision (preconditioner
   tier, overlap, coarse grid, tolerances, projection window) as one frozen
@@ -13,12 +14,14 @@ and error-prone.  This module is the single typed vocabulary:
   :class:`SolverConfig`, and a seed.  The unit the
   :class:`repro.service.Session` queue executes and the unit of
   determinism (same spec + seed ⇒ bitwise-identical results).
-* Facade constructors (:func:`poisson_solver`, :func:`stokes_solver`,
-  :func:`navier_stokes_solver`, :func:`table2_case`) building every solver
-  from the same two ingredients: problem objects + a config.  Each accepts
-  an optional :class:`repro.service.FactorCache` so amortizable setup
-  (FDM eigenpairs, XXT factors, Schwarz subdomain operators, condensation
-  factors) is shared across constructions.
+* Facades that own cache routing (:func:`poisson_solver`,
+  :func:`pmg_preconditioner`, :func:`pressure_preconditioner`).  Each
+  accepts an optional :class:`repro.service.FactorCache` so amortizable
+  setup (FDM eigenpairs, XXT factors, Schwarz subdomain operators,
+  condensation factors) is shared across constructions.  The steppers and
+  the Table 2 case take ``config=`` / ``cache=`` themselves:
+  ``NavierStokesSolver(mesh, re, dt, config=..., cache=...)`` and
+  ``Table2Case(level, order, cache=...)``.
 
 ``config=`` is the only spelling: the solver constructors take no
 per-decision keywords, so an old one is a plain :class:`TypeError`.
@@ -27,6 +30,7 @@ per-decision keywords, so an old one is a plain :class:`TypeError`.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -36,9 +40,6 @@ __all__ = [
     "poisson_solver",
     "pmg_preconditioner",
     "pressure_preconditioner",
-    "stokes_solver",
-    "navier_stokes_solver",
-    "table2_case",
 ]
 
 @dataclass(frozen=True)
@@ -62,12 +63,10 @@ class SolverConfig:
     tol: float = 1e-5
     #: iteration cap for the outer solve.
     maxiter: int = 3000
-    #: relative tolerance of the pressure solve inside Stokes/NS steppers.
+    #: relative tolerance of the pressure solve inside the NS stepper.
     pressure_tol: float = 1e-8
     #: relative tolerance of the velocity Helmholtz solves (NS).
     helmholtz_tol: float = 1e-10
-    #: relative tolerance of nested velocity solves (Uzawa Stokes).
-    velocity_tol: float = 1e-11
     #: successive-RHS projection window L (0 disables; Fig. 4).
     projection_window: int = 20
     #: p-MG smoother: "jacobi" or "chebyshev".
@@ -115,7 +114,7 @@ class RunSpec:
     """One service run: workload + parameters + config + seed.
 
     ``workload`` names a runner registered in :mod:`repro.service.runners`
-    (``"table2"``, ``"poisson"``, ``"stokes"``, ``"shear_layer"``, ...);
+    (``"table2"``, ``"poisson"``, ``"shear_layer"``, ...);
     ``params`` are that runner's keyword parameters (mesh size, level,
     steps...).  ``seed`` pins every random choice the runner makes, which
     is what makes "same spec ⇒ bitwise-identical result" testable solo vs
@@ -150,7 +149,9 @@ class RunSpec:
         """Build a spec from a JSON document (the ``serve`` wire format).
 
         Unknown keys raise: a misspelt ``"parms"`` must not silently run
-        the default problem.
+        the default problem.  So do mistyped values: ``"false"`` is not a
+        bool (it would opt the run into the shared projection pool), a
+        string is not a tag list, and ``"7"`` is not a seed.
         """
         d = dict(d)
         unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
@@ -159,14 +160,27 @@ class RunSpec:
         config = d.get("config") or {}
         if not isinstance(config, SolverConfig):
             config = SolverConfig.from_dict(config)
+        seed = d.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError(f"RunSpec seed must be an integer, got {seed!r}")
+        tags = d.get("tags") or ()
+        if not isinstance(tags, (list, tuple)) or not all(
+            isinstance(t, str) for t in tags
+        ):
+            raise ValueError(f"RunSpec tags must be a list of strings, got {tags!r}")
+        share = d.get("share_projection", False)
+        if not isinstance(share, bool):
+            raise ValueError(
+                f"RunSpec share_projection must be a bool, got {share!r}"
+            )
         return cls(
             workload=d["workload"],
             params=dict(d.get("params") or {}),
             config=config,
-            seed=int(d.get("seed", 0)),
+            seed=int(seed),
             label=str(d.get("label", "")),
-            tags=tuple(d.get("tags") or ()),
-            share_projection=bool(d.get("share_projection", False)),
+            tags=tuple(tags),
+            share_projection=share,
         )
 
 
@@ -246,8 +260,8 @@ def pressure_preconditioner(mesh, pop, config: Optional[SolverConfig] = None,
     and ``use_coarse``.  ``"condensed"`` is resolved to ``"fdm"`` with
     zero overlap first: condensing the zero-overlap FDM block gives the
     block's own inverse, so both spellings share one preconditioner.  This
-    is the one reader of those three fields: the Navier-Stokes and Stokes
-    steppers and the Table 2 case all come here.  With a
+    is the one reader of those three fields: the Navier-Stokes stepper
+    and the Table 2 case both come here.  With a
     :class:`~repro.service.FactorCache` the preconditioner is built once
     per (mesh, velocity mask, variant, overlap, use_coarse) and shared
     across all of them.
@@ -274,33 +288,3 @@ def pressure_preconditioner(mesh, pop, config: Optional[SolverConfig] = None,
          config.use_coarse),
         build,
     )
-
-
-def stokes_solver(mesh, re: float = 1.0, bc=None,
-                  config: Optional[SolverConfig] = None, cache=None):
-    """A :class:`~repro.ns.stokes.StokesSolver` from a :class:`SolverConfig`."""
-    from .ns.stokes import StokesSolver
-
-    return StokesSolver(mesh, re=re, bc=bc, config=config, cache=cache)
-
-
-def navier_stokes_solver(mesh, re: float, dt: float, bc=None,
-                         config: Optional[SolverConfig] = None, cache=None,
-                         **physics):
-    """A :class:`~repro.ns.navier_stokes.NavierStokesSolver` from a config.
-
-    ``physics`` passes through the non-solver-stack parameters (scheme,
-    convection, filtering, forcing, ...) unchanged — those
-    describe the *problem*, not the solver stack, and stay keywords.
-    """
-    from .ns.navier_stokes import NavierStokesSolver
-
-    return NavierStokesSolver(mesh, re, dt, bc=bc, config=config,
-                              cache=cache, **physics)
-
-
-def table2_case(level: int = 0, order: int = 7, cache=None):
-    """A :class:`~repro.workloads.cylinder_model.Table2Case`, cache-routed."""
-    from .workloads.cylinder_model import Table2Case
-
-    return Table2Case(level=level, order=order, cache=cache)

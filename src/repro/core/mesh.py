@@ -32,7 +32,7 @@ import numpy as np
 
 from .quadrature import gll_points
 
-__all__ = ["Mesh", "box_mesh_2d", "box_mesh_3d", "extrude_mesh", "map_mesh", "refine_mesh"]
+__all__ = ["Mesh", "box_mesh_2d", "box_mesh_3d", "map_mesh"]
 
 
 @dataclass
@@ -394,99 +394,4 @@ def map_mesh(mesh: Mesh, f: Callable[..., Sequence[np.ndarray]]) -> Mesh:
         boundary=mesh.boundary,
         periodic=mesh.periodic,
         element_lattice=mesh.element_lattice,
-    )
-
-
-def refine_mesh(builder: Callable[..., Mesh], lattice: Tuple[int, ...], rounds: int, **kw) -> Mesh:
-    """Quad/oct refinement: double the element lattice ``rounds`` times.
-
-    Mirrors the paper's "two rounds of quad-refinement from an initial mesh"
-    (Table 2) and "oct-refinement of the production mesh" (Section 7).
-    """
-    factor = 2**rounds
-    new_lattice = tuple(n * factor for n in lattice)
-    return builder(*new_lattice, **kw)
-
-
-def extrude_mesh(
-    mesh2d: Mesh,
-    nez: int,
-    z0: float = 0.0,
-    z1: float = 1.0,
-    periodic_z: bool = False,
-    z_breaks: Optional[np.ndarray] = None,
-) -> Mesh:
-    """Extrude a 2-D mesh into 3-D along z.
-
-    The standard route to the paper's 3-D production meshes: build (and
-    deform) a 2-D cross-section, then sweep it in the spanwise/axial
-    direction.  Deformations of the cross-section are preserved exactly;
-    element ordering matches :func:`box_mesh_3d` (``e = (ez*ney + ey)*nex
-    + ex``), so the logically-structured solver paths (pressure lattice,
-    Schwarz) keep working.
-    """
-    if mesh2d.ndim != 2:
-        raise ValueError("extrude_mesh needs a 2-D mesh")
-    if nez < 1 or (periodic_z and nez < 2):
-        raise ValueError("invalid spanwise element count")
-    order = mesh2d.order
-    n1 = order + 1
-    k2 = mesh2d.K
-    K = k2 * nez
-    _, ze = _grid_1d(nez, z0, z1, order, z_breaks)
-
-    # Coordinates: replicate the cross-section per layer; z varies with t.
-    x2 = np.asarray(mesh2d.coords[0])  # (k2, n1, n1)
-    y2 = np.asarray(mesh2d.coords[1])
-    X = np.empty((K, n1, n1, n1))
-    Y = np.empty((K, n1, n1, n1))
-    Z = np.empty((K, n1, n1, n1))
-    for ez in range(nez):
-        sl = slice(ez * k2, (ez + 1) * k2)
-        X[sl] = x2[:, None, :, :]
-        Y[sl] = y2[:, None, :, :]
-        Z[sl] = ze[ez][None, :, None, None]
-
-    # Global numbering: (z-line id) * n2d + 2-D id.
-    gz = _global_line_numbers(nez, order, periodic_z)  # (nez, n1)
-    n2d = mesh2d.n_nodes
-    g2 = mesh2d.global_ids  # (k2, n1, n1)
-    gids = np.empty((K, n1, n1, n1), dtype=np.int64)
-    for ez in range(nez):
-        sl = slice(ez * k2, (ez + 1) * k2)
-        gids[sl] = gz[ez][None, :, None, None] * n2d + g2[:, None, :, :]
-    gids = _compress_ids(gids)
-
-    vz = _global_line_numbers(nez, 1, periodic_z)
-    nv2d = mesh2d.n_vertices
-    v2 = mesh2d.vertex_ids.reshape(k2, 2, 2)
-    vids = np.empty((K, 2, 2, 2), dtype=np.int64)
-    for ez in range(nez):
-        sl = slice(ez * k2, (ez + 1) * k2)
-        vids[sl] = vz[ez][None, :, None, None] * nv2d + v2[:, None, :, :]
-    vids = _compress_ids(vids).reshape(K, 8)
-
-    boundary: Dict[str, np.ndarray] = {}
-    for side, m2 in mesh2d.boundary.items():
-        m3 = np.zeros((K, n1, n1, n1), dtype=bool)
-        for ez in range(nez):
-            sl = slice(ez * k2, (ez + 1) * k2)
-            m3[sl] = m2[:, None, :, :]
-        boundary[side] = m3
-    if not periodic_z:
-        for name, ez_sel, idx in (("zmin", 0, 0), ("zmax", nez - 1, -1)):
-            m3 = np.zeros((K, n1, n1, n1), dtype=bool)
-            sl = slice(ez_sel * k2, (ez_sel + 1) * k2)
-            m3[sl, idx, :, :] = True
-            boundary[name] = m3
-
-    return Mesh(
-        ndim=3,
-        order=order,
-        coords=[X, Y, Z],
-        global_ids=gids,
-        vertex_ids=vids,
-        boundary=boundary,
-        periodic=(mesh2d.periodic[0], mesh2d.periodic[1], periodic_z),
-        element_lattice=(mesh2d.element_lattice[0], mesh2d.element_lattice[1], nez),
     )

@@ -77,20 +77,9 @@ class MassOperator:
 
 
 class LaplaceOperator:
-    """Matrix-free stiffness ``A u = D^T G D u`` (Eq. 4).
+    """Matrix-free stiffness ``A u = D^T G D u`` (Eq. 4)."""
 
-    An optional nodal ``coeff`` field gives the *variable-coefficient*
-    diffusion operator ``-div(nu grad u)`` in symmetric form: the
-    coefficient is folded into the geometric factors (``G -> nu G``), not
-    applied after the fact (which would break symmetry).
-    """
-
-    def __init__(
-        self,
-        mesh: Mesh,
-        geom: Optional[GeomFactors] = None,
-        coeff: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, mesh: Mesh, geom: Optional[GeomFactors] = None):
         self.mesh = mesh
         self.geom = geom if geom is not None else geometric_factors(mesh)
         self.d = gll_derivative_matrix(mesh.order)
@@ -98,23 +87,12 @@ class LaplaceOperator:
         # applies (avoids a copy at every backend-boundary sanitization).
         self.dt = np.ascontiguousarray(np.asarray(self.d).T)
         self._ws = Workspace()
-        if coeff is not None:
-            coeff = np.asarray(coeff, dtype=float)
-            if coeff.shape != mesh.local_shape:
-                raise ValueError(
-                    f"coefficient shape {coeff.shape} != {mesh.local_shape}"
-                )
-            if np.any(coeff <= 0):
-                raise ValueError("diffusion coefficient must be positive")
-            self._g = [coeff * gab for gab in self.geom.g]
-        else:
-            self._g = self.geom.g
 
     def apply(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``A u`` — all mxm work through the backend, all intermediates
         (gradients, fluxes, accumulators) from the operator's workspace, so
         steady-state applies allocate nothing beyond the optional ``out``."""
-        g = self._g
+        g = self.geom.g
         ws = self._ws
         shp = u.shape
         tmp = ws.get("tmp", shp)
@@ -169,7 +147,7 @@ class LaplaceOperator:
             packed = {(0, 0): 0, (0, 1): 1, (1, 1): 2}
         else:
             packed = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5}
-        gm = lambda a, b: self._g[packed[(min(a, b), max(a, b))]]  # noqa: E731
+        gm = lambda a, b: self.geom.g[packed[(min(a, b), max(a, b))]]  # noqa: E731
         out = np.zeros_like(self.geom.jac)
         for a in range(nd):
             out += apply_1d(d2, gm(a, a), a)

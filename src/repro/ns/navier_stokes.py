@@ -59,7 +59,8 @@ def flow_operators(mesh: Mesh, vel_mask: DirichletMask, cache=None):
 
     With a :class:`~repro.service.FactorCache` the geometric factors and
     the assembler are built once per mesh, and the pressure operator once
-    per (mesh, velocity mask), shared by every stepper on that mesh.
+    per (mesh, velocity mask), shared by every :class:`NavierStokesSolver`
+    built on that mesh through the cache.
     """
     if cache is None:
         geom = geometric_factors(mesh)
@@ -277,10 +278,15 @@ class NavierStokesSolver:
 
         When observability is enabled (:func:`repro.obs.enable`) the phases
         run inside trace regions ``step/{convection,helmholtz,pressure,
-        filter}`` — the Table 2 attribution tree.
+        filter}`` — the Table 2 attribution tree.  A failed solve raises
+        :class:`~repro.solvers.cg.SolveFailure` with ``step`` set to the
+        timestep being taken.
         """
         with trace("step"):
-            return self._step(extra_forcing)
+            try:
+                return self._step(extra_forcing)
+            except SolveFailure as exc:
+                raise exc.at_step(self.step_count + 1)
 
     def _step(self, extra_forcing: Optional[Sequence[np.ndarray]] = None) -> StepStats:
         import time as _time

@@ -99,7 +99,9 @@ class ScalarTransport:
         """Advance the scalar by one flow timestep; returns CG iterations.
 
         Uses the velocity at the *new* time level (call after
-        ``flow.step()``) with extrapolated explicit advection.
+        ``flow.step()``) with extrapolated explicit advection.  A failed
+        solve raises :class:`~repro.solvers.cg.SolveFailure` with ``step``
+        set to that flow timestep.
         """
         flow = self.flow
         dt = flow.dt
@@ -130,20 +132,23 @@ class ScalarTransport:
         system, precond = self._helm_for(order)
         t_bound = self.bc.lift(flow.t)
         rhs_local = flow.mass.apply(rhs) - system.op_local(t_bound)
-        with trace("scalar"):
-            res = pcg(
-                system.matvec,
-                system.rhs(rhs_local),
-                dot=system.dot,
-                precond=precond,
-                x0=self.bc.mask.apply(self.T - t_bound),
-                tol=0.0,
-                rtol=1e-10,
-                maxiter=2000,
-                label="scalar",
-            )
-        if not res.converged:
-            raise SolveFailure.unconverged("scalar Helmholtz solve", res, "scalar")
+        try:
+            with trace("scalar"):
+                res = pcg(
+                    system.matvec,
+                    system.rhs(rhs_local),
+                    dot=system.dot,
+                    precond=precond,
+                    x0=self.bc.mask.apply(self.T - t_bound),
+                    tol=0.0,
+                    rtol=1e-10,
+                    maxiter=2000,
+                    label="scalar",
+                )
+            if not res.converged:
+                raise SolveFailure.unconverged("scalar Helmholtz solve", res, "scalar")
+        except SolveFailure as exc:
+            raise exc.at_step(flow.step_count)
         self.T = res.x + t_bound
         if self.use_filter and flow.filter is not None:
             self.T = flow.filter(self.T)

@@ -167,46 +167,6 @@ def _run_poisson(spec: RunSpec, ctx: RunContext) -> dict:
     }
 
 
-@register("stokes")
-def _run_stokes(spec: RunSpec, ctx: RunContext) -> dict:
-    """A steady forced Stokes solve on a box mesh.
-
-    ``params``: ``n``, ``order``, ``re``.  Forcing is a fixed smooth field
-    (deterministic); the payload carries velocity/pressure arrays.
-    """
-    from ..api import stokes_solver
-    from ..core.mesh import box_mesh_2d
-
-    n = int(spec.params.get("n", 3))
-    order = int(spec.params.get("order", 6))
-
-    def build():
-        return box_mesh_2d(n, n, order)
-
-    mesh = (
-        ctx.cache.get(("stokes_mesh", n, order), build)
-        if ctx.cache is not None
-        else build()
-    )
-    solver = stokes_solver(
-        mesh,
-        re=float(spec.params.get("re", 1.0)),
-        config=spec.config,
-        cache=ctx.cache,
-    )
-    res = solver.solve(
-        forcing=lambda x, y: (np.sin(np.pi * x) * np.cos(np.pi * y),
-                              -np.cos(np.pi * x) * np.sin(np.pi * y))
-    )
-    return {
-        "u": res.u,
-        "p": res.p,
-        "pressure_iterations": res.pressure_iterations,
-        "divergence_norm": res.divergence_norm,
-        "converged": res.converged,
-    }
-
-
 @register("shear_layer")
 def _run_shear_layer(spec: RunSpec, ctx: RunContext) -> dict:
     """A short shear-layer roll-up integration (the report CLI's workload).

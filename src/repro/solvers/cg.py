@@ -31,13 +31,21 @@ DotOp = Callable[[np.ndarray, np.ndarray], float]
 class SolveFailure(np.linalg.LinAlgError):
     """A Krylov solve that broke down or did not converge: carries its
     ``label`` (e.g. ``"pressure"``), the iteration it stopped at and its
-    residual history, so a caller can tell which solve failed and how."""
+    residual history, so a caller can tell which solve failed and how.
+    A time stepper also sets ``step``, the timestep it was taking."""
 
     def __init__(self, message: str, label: Optional[str] = None,
                  iterations: int = 0, residual_history: Sequence[float] = ()):
         super().__init__(message)
         self.label, self.iterations = label, int(iterations)
         self.residual_history = list(residual_history)
+        self.step: Optional[int] = None
+
+    def at_step(self, step: int) -> "SolveFailure":
+        """Record the timestep the failure stopped and name it in the message."""
+        self.step = int(step)
+        self.args = (f"{self.args[0]} (at step {self.step})",) + self.args[1:]
+        return self
 
     @classmethod
     def unconverged(cls, what: str, res: "CGResult", label: str) -> "SolveFailure":

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.api import RunSpec, SolverConfig, poisson_solver, table2_case
+from repro.api import RunSpec, SolverConfig, poisson_solver
+from repro.workloads.cylinder_model import Table2Case
 
 
 # ---------------------------------------------------------------------------
@@ -24,7 +25,6 @@ class TestSolverConfig:
         assert c.maxiter == 3000
         assert c.pressure_tol == 1e-8
         assert c.helmholtz_tol == 1e-10
-        assert c.velocity_tol == 1e-11
         assert c.projection_window == 20
         assert c.pmg_smoother == "jacobi"
         assert c.pmg_coarse == "cg"
@@ -99,6 +99,27 @@ class TestRunSpec:
             RunSpec.from_dict({"workload": "table2",
                                "config": {"pressure_variant": variant}})
 
+    @pytest.mark.parametrize("field,value", [
+        ("share_projection", "false"),
+        ("share_projection", 0),
+        ("tags", "abc"),
+        ("tags", ["ok", 3]),
+        ("seed", "7"),
+        ("seed", 7.0),
+        ("seed", True),
+    ])
+    def test_from_dict_rejects_mistyped_values(self, field, value):
+        # "false" is truthy: coercing it would opt the run into the shared
+        # projection pool and break solo/session bitwise parity.
+        with pytest.raises(ValueError, match=f"RunSpec {field}"):
+            RunSpec.from_dict({"workload": "table2", field: value})
+
+    def test_from_dict_accepts_wire_types(self):
+        spec = RunSpec.from_dict({"workload": "table2", "seed": np.int64(3),
+                                  "tags": ["a", "b"], "share_projection": True})
+        assert spec.seed == 3 and type(spec.seed) is int
+        assert spec.tags == ("a", "b") and spec.share_projection is True
+
     def test_from_dict_rejects_misspelt_pmg_tier(self):
         # A misspelt serve request must not silently run the default tier.
         with pytest.raises(ValueError, match="unknown pmg_smoother 'chebychev'"):
@@ -111,22 +132,13 @@ class TestRunSpec:
 # ---------------------------------------------------------------------------
 class TestResolveConfig:
     def test_old_keywords_are_type_errors(self):
-        from repro import NavierStokesSolver, StokesSolver, box_mesh_2d
+        from repro import NavierStokesSolver, box_mesh_2d
 
         mesh = box_mesh_2d(2, 2, 4)
         with pytest.raises(TypeError, match="projection_window"):
             NavierStokesSolver(mesh, re=10.0, dt=0.1, projection_window=5)
-        with pytest.raises(TypeError, match="pressure_variant"):
-            StokesSolver(mesh, pressure_variant="fdm")
         with pytest.raises(TypeError, match="variant"):
-            table2_case(level=0, order=3).run(variant="fdm")
-
-    def test_stokes_default_maxiter_is_preserved(self):
-        from repro import StokesSolver, box_mesh_2d
-
-        mesh = box_mesh_2d(2, 2, 4)
-        assert StokesSolver(mesh).maxiter == 400
-        assert StokesSolver(mesh, config=SolverConfig(maxiter=77)).maxiter == 77
+            Table2Case(level=0, order=3).run(variant="fdm")
 
     def test_config_path_emits_no_warning(self):
         from repro import NavierStokesSolver, VelocityBC, box_mesh_2d
@@ -139,14 +151,11 @@ class TestResolveConfig:
                                config=SolverConfig(projection_window=5))
 
     @pytest.mark.parametrize("cached", [False, True])
-    @pytest.mark.parametrize("stepper", ["navier_stokes", "stokes"])
-    def test_steppers_honour_overlap_and_use_coarse(self, stepper, cached):
-        from repro import NavierStokesSolver, StokesSolver, box_mesh_2d
+    def test_stepper_honours_overlap_and_use_coarse(self, cached):
+        from repro import NavierStokesSolver, box_mesh_2d
         from repro.service import FactorCache
 
         def precond(config, cache):
-            if stepper == "stokes":
-                return StokesSolver(mesh, config=config, cache=cache).precond
             return NavierStokesSolver(mesh, re=10.0, dt=0.01, config=config,
                                       cache=cache).pressure_precond
 
@@ -183,12 +192,12 @@ class TestFacades:
         mesh = box_mesh_2d(2, 2, 5)
         assert poisson_solver(mesh) is not poisson_solver(mesh)
 
-    def test_table2_case_facade(self):
+    def test_table2_cache_shares_mesh_and_pop(self):
         from repro.service import FactorCache
 
         cache = FactorCache()
-        a = table2_case(level=0, order=3, cache=cache)
-        b = table2_case(level=0, order=3, cache=cache)
+        a = Table2Case(level=0, order=3, cache=cache)
+        b = Table2Case(level=0, order=3, cache=cache)
         assert a.mesh is b.mesh and a.pop is b.pop
 
     def test_pmg_preconditioner_routes_config_and_caches(self):

@@ -286,23 +286,6 @@ class TestTable2Parity:
 
 @pytest.mark.slow
 class TestFlowSolverIntegration:
-    def test_stokes_with_condensed_tier(self):
-        from repro.ns.stokes import StokesSolver
-
-        mesh = box_mesh_2d(3, 3, 5)
-        sol = StokesSolver(
-            mesh, config=SolverConfig(pressure_variant="condensed", maxiter=400)
-        )
-        assert isinstance(sol.precond, SchwarzPreconditioner)
-        assert sol.precond.variant == "fdm" and sol.precond.overlap == 0
-        res = sol.solve(
-            forcing=lambda x, y: (
-                np.sin(np.pi * x) * np.cos(np.pi * y),
-                np.zeros_like(x),
-            )
-        )
-        assert res.converged
-
     def test_navier_stokes_with_condensed_tier(self):
         from repro.ns.bcs import VelocityBC
         from repro.ns.navier_stokes import NavierStokesSolver

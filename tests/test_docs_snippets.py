@@ -20,7 +20,7 @@ def extract_blocks(md_path):
 class TestTutorial:
     @pytest.mark.slow
     def test_tutorial_blocks_run_in_sequence(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # vtk/checkpoint writes land in tmp
+        monkeypatch.chdir(tmp_path)  # any file a block writes lands in tmp
         blocks = extract_blocks(ROOT / "docs" / "TUTORIAL.md")
         assert len(blocks) >= 8
         ns = {}

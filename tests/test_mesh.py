@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mesh import box_mesh_2d, box_mesh_3d, map_mesh, refine_mesh
+from repro.core.mesh import box_mesh_2d, box_mesh_3d, map_mesh
 
 
 class TestBoxMesh2D:
@@ -150,17 +150,6 @@ class TestMapAndRefine:
         m = box_mesh_2d(1, 1, 2)
         with pytest.raises(ValueError):
             map_mesh(m, lambda x, y: (x,))
-
-    def test_refine_quadruples_elements(self):
-        m1 = box_mesh_2d(3, 2, 4)
-        m2 = refine_mesh(box_mesh_2d, (3, 2), 1, order=4)
-        assert m2.K == 4 * m1.K
-        m3 = refine_mesh(box_mesh_2d, (3, 2), 2, order=4)
-        assert m3.K == 16 * m1.K
-
-    def test_refine_3d_octuples(self):
-        m = refine_mesh(box_mesh_3d, (1, 1, 1), 1, order=2)
-        assert m.K == 8
 
 
 class TestAdjacency:

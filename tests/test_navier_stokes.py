@@ -87,6 +87,39 @@ class TestConstruction:
         with pytest.raises(SolveFailure) as info:
             sol.step()
         assert info.value.label == "helmholtz_u0"
+        assert info.value.step == 1 and "(at step 1)" in str(info.value)
+
+    @pytest.mark.parametrize("warm_steps", [0, 2])
+    def test_unconverged_pressure_solve_names_the_step(self, monkeypatch,
+                                                        warm_steps):
+        import repro.ns.navier_stokes as ns_mod
+
+        sol, _ = taylor_green_solver(N=4, ne=2)
+        sol.advance(warm_steps)
+        real_pcg = ns_mod.pcg
+
+        def capped(*args, **kw):
+            if kw.get("label") == "pressure":
+                kw["maxiter"] = 1
+            return real_pcg(*args, **kw)
+
+        monkeypatch.setattr(ns_mod, "pcg", capped)
+        with pytest.raises(SolveFailure, match="pressure solve failed") as info:
+            sol.step()
+        step = warm_steps + 1
+        assert info.value.step == step and info.value.label == "pressure"
+        assert str(info.value).endswith(f"(at step {step})")
+
+    def test_scalar_failure_names_the_flow_step(self):
+        sol, mesh = taylor_green_solver(N=4, ne=2)
+        heat = ScalarTransport(sol, peclet=10.0)
+        T0 = mesh.field()
+        T0[0, 1, 1] = np.nan
+        heat.T = T0
+        sol.advance(2)
+        with pytest.raises(SolveFailure) as info:
+            heat.step()
+        assert info.value.step == 2 and info.value.label == "scalar"
 
     def test_state_is_one_velocity_stack(self):
         sol, mesh = taylor_green_solver(N=5, ne=3, convection="oifs", filter_alpha=0.1)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.solvers.cg import pcg
 from repro.solvers.projection import SolutionProjector
@@ -130,3 +132,39 @@ class TestSmoothSequence:
             res = pcg(mv, bp, dot=dot, tol=1e-10, maxiter=500)
             proj.finish(res.x, x0 + res.x)
         assert proj.matvec_count == 5
+
+
+@given(window=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_projection_invariants_across_restarts(window, seed):
+    """On a random SPD system and a random RHS sequence that overflows the
+    window at least once: the projected guess satisfies the Galerkin
+    condition (the A-optimal element of the span), guess + CG correction
+    equals the direct solve, and the basis is A-orthonormal after every
+    fold, restarts included."""
+    n = 24
+    a = make_spd(n, seed=seed, cond=50.0)
+    dot = lambda u, v: float(np.dot(u, v))  # noqa: E731
+    proj = SolutionProjector(lambda x: a @ x, dot, max_vectors=window)
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(n)
+    restarts = 0
+    for _ in range(2 * window + 2):
+        b = base + 0.1 * rng.standard_normal(n)
+        x_bar, b_pert = proj.start(b)
+        scale = np.linalg.norm(b)
+        assert np.allclose(b_pert, b - a @ x_bar, atol=1e-10 * scale)
+        if len(proj):
+            basis = np.array(proj._basis)
+            assert np.abs(basis @ b_pert).max() <= 1e-9 * scale
+        res = pcg(lambda x: a @ x, b_pert, dot=dot, tol=1e-13 * scale,
+                  maxiter=500)
+        assert res.converged
+        x = x_bar + res.x
+        assert np.allclose(x, np.linalg.solve(a, b), atol=1e-9 * scale)
+        before = len(proj)
+        proj.finish(res.x, x)
+        restarts += before == window
+        basis = np.array(proj._basis)
+        assert np.allclose(basis @ a @ basis.T, np.eye(len(proj)), atol=1e-9)
+    assert restarts >= 1
+

@@ -273,50 +273,6 @@ def test_oifs_advection_is_linear_in_the_field(seed, a, b):
     assert np.allclose(o_lin, a * o1 + b * o2, atol=1e-9 * scale)
 
 
-@given(steps=st.integers(1, 5), seed=st.integers(0, 10**6))
-def test_checkpoint_roundtrip_arbitrary_state(steps, seed):
-    """Checkpoints restore velocity/pressure/history exactly after any
-    number of steps."""
-    import tempfile
-
-    from repro.api import SolverConfig
-    from repro.core.io import load_checkpoint, save_checkpoint
-    from repro.ns.bcs import VelocityBC
-    from repro.ns.navier_stokes import NavierStokesSolver
-
-    L = 2 * np.pi
-    mesh = box_mesh_2d(2, 2, 5, x1=L, y1=L, periodic=(True, True))
-
-    def build():
-        s = NavierStokesSolver(mesh, re=20.0, dt=0.05, bc=VelocityBC.none(mesh),
-                               convection="ext",
-                               config=SolverConfig(projection_window=4))
-        rng = np.random.default_rng(seed)
-        c = rng.uniform(0.5, 1.5)
-        s.set_initial_condition([
-            lambda x, y: -c * np.cos(x) * np.sin(y),
-            lambda x, y: c * np.sin(x) * np.cos(y),
-        ])
-        return s
-
-    a = build()
-    a.advance(steps)
-    with tempfile.TemporaryDirectory() as d:
-        ck = save_checkpoint(pathlib_join(d, "ck.npz"), a)
-        b = build()
-        load_checkpoint(ck, b)
-    assert b.t == a.t
-    for c in range(2):
-        assert np.array_equal(a.u[c], b.u[c])
-    assert np.array_equal(a.p, b.p)
-
-
-def pathlib_join(d, name):
-    import pathlib
-
-    return pathlib.Path(d) / name
-
-
 def _deformed_mesh(ax, ay, fx, fy, order):
     """Random admissible deformed mesh, or reject the draw (see the
     geometry SPD test for why geometric_factors may refuse a map)."""
