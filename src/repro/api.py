@@ -151,12 +151,22 @@ class RunSpec:
         Unknown keys raise: a misspelt ``"parms"`` must not silently run
         the default problem.  So do mistyped values: ``"false"`` is not a
         bool (it would opt the run into the shared projection pool), a
-        string is not a tag list, and ``"7"`` is not a seed.
+        string is not a tag list, ``"7"`` is not a seed, ``5`` is not a
+        label or a workload, and a list of pairs is not ``params``.
         """
         d = dict(d)
         unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ValueError(f"unknown RunSpec fields: {unknown}")
+        workload = d["workload"]
+        if not isinstance(workload, str):
+            raise ValueError(f"RunSpec workload must be a string, got {workload!r}")
+        params = d.get("params") or {}
+        if not isinstance(params, Mapping):
+            raise ValueError(f"RunSpec params must be a mapping, got {params!r}")
+        label = d.get("label", "")
+        if not isinstance(label, str):
+            raise ValueError(f"RunSpec label must be a string, got {label!r}")
         config = d.get("config") or {}
         if not isinstance(config, SolverConfig):
             config = SolverConfig.from_dict(config)
@@ -174,11 +184,11 @@ class RunSpec:
                 f"RunSpec share_projection must be a bool, got {share!r}"
             )
         return cls(
-            workload=d["workload"],
-            params=dict(d.get("params") or {}),
+            workload=workload,
+            params=dict(params),
             config=config,
             seed=int(seed),
-            label=str(d.get("label", "")),
+            label=label,
             tags=tuple(tags),
             share_projection=share,
         )

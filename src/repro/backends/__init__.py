@@ -3,8 +3,8 @@
 The paper's Section 6 finding — mxm kernels are >90% of all flops and no
 single kernel wins on every calling shape (Table 3) — becomes an
 architecture here: the rest of the library calls
-:func:`repro.backends.apply_1d` (via :mod:`repro.core.tensor`), and this
-package decides *which* kernel runs it.
+:func:`repro.backends.apply_1d` (or binds a :class:`~repro.backends.dispatch.StagePlan`
+of such calls), and this package decides *which* kernel runs it.
 
 Layout:
 
@@ -33,8 +33,6 @@ from .dispatch import (
     batched_matvec,
     dispatch_choices,
     get_backend,
-    grad,
-    grad_transpose,
     set_backend,
     use_backend,
 )
@@ -59,6 +57,4 @@ __all__ = [
     "apply_1d",
     "apply_tensor",
     "batched_matvec",
-    "grad",
-    "grad_transpose",
 ]

@@ -10,18 +10,17 @@ module defines that layer's contract:
 * :class:`KernelBackend` — the protocol every kernel implementation obeys.
   The core operation is :meth:`KernelBackend.apply_1d`: apply a small dense
   operator along one tensor direction of a batched field, optionally into a
-  preallocated output.  ``grad``/``grad_transpose``/``batched_matvec``/
-  ``apply_tensor`` have default implementations (``apply_tensor`` composes
-  per-stage ``apply_1d`` calls) that a backend may override with fused
-  variants.
+  preallocated output.  ``batched_matvec`` and ``apply_tensor`` have
+  default implementations (``apply_tensor`` composes per-stage
+  ``apply_1d`` calls) that a backend may override with fused variants.
 * :class:`Workspace` — a pool of named preallocated buffers so that hot
   loops (operator applies inside a CG iteration) perform no per-apply
   allocations.  Buffers are keyed by ``(name, shape)``; requesting the same
   key twice returns the same array.
 
 Backends receive *sanitized* operands — C-contiguous float64 arrays with
-validated shapes — from :mod:`repro.backends.dispatch`, which is the single
-entry point the rest of the library uses.  Flop accounting also lives at
+validated shapes — from :mod:`repro.backends.dispatch`, the entry point
+the rest of the library uses.  Flop accounting also lives at
 that boundary, so counters stay exact regardless of which kernel ran.
 """
 
@@ -144,36 +143,6 @@ class KernelBackend(abc.ABC):
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Apply ``op`` along ``direction`` of batched ``u`` (into ``out``)."""
-
-    # ------------------------------------------------------------- composites
-    def grad(
-        self,
-        d: np.ndarray,
-        u: np.ndarray,
-        outs: Optional[Sequence[Optional[np.ndarray]]] = None,
-    ) -> Tuple[np.ndarray, ...]:
-        """Reference-space gradient: ``apply_1d`` of ``d`` along every direction."""
-        ndim = u.ndim - 1
-        if outs is None:
-            outs = (None,) * ndim
-        return tuple(
-            self.apply_1d(d, u, a, out=outs[a]) for a in range(ndim)
-        )
-
-    def grad_transpose(
-        self,
-        dt: np.ndarray,
-        ws: Sequence[np.ndarray],
-        out: Optional[np.ndarray] = None,
-        work: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Adjoint gradient ``sum_a D^T w_a`` (``dt`` is the pre-transposed
-        operator); accumulates through ``work`` to avoid temporaries."""
-        out = self.apply_1d(dt, ws[0], 0, out=out)
-        for a in range(1, len(ws)):
-            tmp = self.apply_1d(dt, ws[a], a, out=work)
-            out += tmp
-        return out
 
     def batched_matvec(
         self,

@@ -1,9 +1,12 @@
 """Backend registry and shape-aware auto-tuning dispatch.
 
-This is the single entry point through which every tensor-product kernel
-in the library runs, and every call takes the same path: sanitize → tally
-→ the active backend's kernel point.  It owns three responsibilities the
-paper assigns to the tuned-kernel layer:
+This is the entry point through which the library's shared-operator
+tensor-product kernels run (``apply_1d``, ``apply_tensor``) and the
+condensed solvers' per-element ``batched_matvec``: sanitize → tally → the
+resolved kernel.  Two dense GEMM families stay outside it by design: the
+FDM local solves and the coarse-grid transfer are per-element batched
+``np.matmul`` calls with no shared operator to dispatch on.  It owns three
+responsibilities the paper assigns to the tuned-kernel layer:
 
 1. **Sanitizing the boundary.**  Operands are coerced to C-contiguous
    float64 exactly once (silently falling onto strided BLAS paths is the
@@ -29,9 +32,11 @@ choices and per-shape hit counts; :func:`backend_tallies` aggregates
 dispatch counts per backend for the run report.
 
 A hot operator apply whose ``apply_1d`` stages repeat in a fixed order
-(the E apply's D and D^T) runs them through a :class:`StagePlan` instead:
-each stage is validated and resolved once, then replayed as a bare kernel
-call, with the same tallies made once per apply (see :func:`stage_plan`).
+(the E apply's D and D^T, the Laplace/Helmholtz apply, the OIFS gradient)
+runs them through a :class:`StagePlan` instead: each stage is validated
+and resolved once, then replayed as a bare kernel call, with the same
+tallies made once per apply (see :func:`stage_plan`).  A plan binds each
+stage through the same routine as the per-call :func:`apply_1d`.
 """
 
 from __future__ import annotations
@@ -60,8 +65,6 @@ __all__ = [
     "dispatch_choices",
     "AutoTuneDispatcher",
     "apply_1d",
-    "grad",
-    "grad_transpose",
     "batched_matvec",
     "apply_tensor",
     "StagePlan",
@@ -130,25 +133,28 @@ class AutoTuneDispatcher(KernelBackend):
         return (op.shape, u.shape, direction)
 
     # --------------------------------------------------------- kernel points
-    def _choose_1d(self, op, u, direction) -> Tuple[Tuple, KernelBackend]:
-        """Signature and winning backend of an ``apply_1d`` call.
+    def _choose_1d(self, op, u, direction, hits: Dict[Tuple, int]) -> KernelBackend:
+        """Winning backend of an ``apply_1d`` call (tuned on a miss).
 
-        Tunes on a miss; counts no hit (the caller does, per call or, for a
-        :class:`StagePlan`, per apply).
+        Counts one hit of the call's ``(op shape, field shape, direction)``
+        signature into ``hits``: the tuner's own per call, or a
+        :class:`StagePlan`'s, merged into the tuner's once per apply.
         """
         key = self.signature(op, u, direction)
-        shape = list(u.shape)
-        shape[u.ndim - 1 - direction] = op.shape[0]
-        backend = self._choose(
-            key,
-            lambda b, scratch: b.apply_1d(op, u, direction, out=scratch),
-            tuple(shape),
-        )
-        return key, backend
+        name = self.choices.get(key)
+        if name is None:
+            shape = list(u.shape)
+            shape[u.ndim - 1 - direction] = op.shape[0]
+            name = self._tune(
+                key,
+                lambda b, scratch: b.apply_1d(op, u, direction, out=scratch),
+                tuple(shape),
+            )
+        hits[key] = hits.get(key, 0) + 1
+        return _REGISTRY[name]
 
     def apply_1d(self, op, u, direction, out: Optional[np.ndarray] = None):
-        key, backend = self._choose_1d(op, u, direction)
-        self.hits[key] = self.hits.get(key, 0) + 1
+        backend = self._choose_1d(op, u, direction, self.hits)
         return backend.apply_1d(op, u, direction, out=out)
 
     def batched_matvec(self, mats, vecs, out: Optional[np.ndarray] = None):
@@ -180,15 +186,10 @@ class AutoTuneDispatcher(KernelBackend):
     # ---------------------------------------------------------------- tuning
     def _resolve(self, key, call, scratch_shape) -> KernelBackend:
         """The winning backend for ``key``, tuning on a miss; counts one hit."""
-        backend = self._choose(key, call, scratch_shape)
-        self.hits[key] = self.hits.get(key, 0) + 1
-        return backend
-
-    def _choose(self, key, call, scratch_shape) -> KernelBackend:
-        """The winning backend for ``key``, tuning on a miss."""
         name = self.choices.get(key)
         if name is None:
             name = self._tune(key, call, scratch_shape)
+        self.hits[key] = self.hits.get(key, 0) + 1
         return _REGISTRY[name]
 
     def _tune(self, key, call, scratch_shape) -> str:
@@ -374,7 +375,7 @@ if _env:
 
 
 # ---------------------------------------------------------------------------
-# The sanitized kernel entry points used by repro.core.tensor.
+# The sanitized kernel entry points.
 # ---------------------------------------------------------------------------
 def _sanitize(a: np.ndarray) -> np.ndarray:
     """C-contiguous float64 view-or-copy, exactly once at the boundary.
@@ -399,8 +400,14 @@ def _check_out(out: np.ndarray, expected: Tuple[int, ...], *inputs) -> None:
             )
 
 
-def _checked_1d(op, u, direction, out) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Sanitized ``(op, u)`` of an ``apply_1d`` call and its flop count."""
+def _bind_1d(op, u, direction, out, hits) -> Tuple[Callable, np.ndarray, np.ndarray, float]:
+    """Validate one ``apply_1d`` call and resolve its kernel.
+
+    Returns the kernel (the tuner's choice, counted into ``hits``, or the
+    fixed active backend's), the sanitized ``(op, u)`` and the call's flop
+    count.  The one bind routine of the per-call :func:`apply_1d` and of
+    :meth:`StagePlan.stage`.
+    """
     op = _sanitize(op)
     u = _sanitize(u)
     if op.ndim != 2:
@@ -421,7 +428,10 @@ def _checked_1d(op, u, direction, out) -> Tuple[np.ndarray, np.ndarray, float]:
         expected = list(u.shape)
         expected[axis] = m
         _check_out(out, tuple(expected), u)
-    return op, u, 2.0 * m * n * (u.size // n)
+    backend = _ACTIVE
+    if backend is _DISPATCHER:
+        backend = _DISPATCHER._choose_1d(op, u, direction, hits)
+    return backend.apply_1d, op, u, 2.0 * m * n * (u.size // n)
 
 
 def apply_1d(
@@ -430,10 +440,18 @@ def apply_1d(
     direction: int,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Validated, flop-counted ``apply_1d`` through the active backend."""
-    op, u, flops = _checked_1d(op, u, direction, out)
+    """Apply 1-D operator ``op`` along tensor ``direction`` of batched ``u``.
+
+    ``u`` has shape ``(K, [n_t,] n_s, n_r)``; ``direction`` 0 means r (the
+    last axis), 1 means s, 2 means t.  ``op`` is ``(m, n)`` with ``n``
+    matching the extent of that direction; the result swaps it to ``m``.
+    Validated and flop-counted; the active backend picks the kernel.
+    ``out``, when given, receives the result (C-contiguous float64, not
+    aliasing ``u``); otherwise a fresh array is returned.
+    """
+    kernel, op, u, flops = _bind_1d(op, u, direction, out, _DISPATCHER.hits)
     add_flops(flops, "mxm")
-    return _ACTIVE.apply_1d(op, u, direction, out=out)
+    return kernel(op, u, direction, out=out)
 
 
 class _Stage(NamedTuple):
@@ -446,11 +464,11 @@ class _Stage(NamedTuple):
 class StagePlan:
     """One operator apply's ``apply_1d`` stages, resolved once and replayed.
 
-    The apply that meets a fresh plan *binds* it: each :meth:`stage` call is
-    sanitized and validated exactly as :func:`apply_1d` validates, its
-    kernel is resolved (the tuner's choice, tuned on a miss, or the fixed
-    active backend) and its scratch buffer taken from the owner's
-    workspace.  Every later apply replays: stage ``i`` is one bare kernel
+    The apply that meets a fresh plan *binds* it: each :meth:`stage` call
+    goes through the bind routine of the per-call :func:`apply_1d`
+    (sanitize, validate, resolve the kernel: the tuner's choice, tuned on
+    a miss, or the fixed active backend) and takes its scratch buffer from
+    the owner's workspace.  Every later apply replays: stage ``i`` is one bare kernel
     call on the same operands into the same buffer, so results are
     bitwise those of the per-call path.  :meth:`finish` tallies each
     apply as the per-call path would: one ``add_flops`` of the stage sum
@@ -491,14 +509,10 @@ class StagePlan:
             shape = list(u.shape)
             shape[u.ndim - 1 - direction] = op.shape[0]
             buf = out = self._ws.get(name, tuple(shape))
-        op, u, flops = _checked_1d(op, u, direction, out)
-        backend = _ACTIVE
-        if backend is _DISPATCHER:
-            key, backend = _DISPATCHER._choose_1d(op, u, direction)
-            self._hits[key] = self._hits.get(key, 0) + 1
+        kernel, op, u, flops = _bind_1d(op, u, direction, out, self._hits)
         self._flops += flops
-        self._stages.append(_Stage(backend.apply_1d, op, direction, buf))
-        return backend.apply_1d(op, u, direction, out=out)
+        self._stages.append(_Stage(kernel, op, direction, buf))
+        return kernel(op, u, direction, out=out)
 
     def finish(self) -> None:
         """End one apply: tally its flops and dispatcher hits; bound from now on."""
@@ -629,24 +643,3 @@ def apply_tensor(
         return out
     add_flops(flops, "mxm")
     return _ACTIVE.apply_tensor(ops_s, u, out=out)
-
-
-def grad(d, u, outs=None):
-    """Backend-routed reference-space gradient (one apply per direction)."""
-    ndim = u.ndim - 1
-    if outs is None:
-        outs = (None,) * ndim
-    return tuple(apply_1d(d, u, a, out=outs[a]) for a in range(ndim))
-
-
-def grad_transpose(dt, ws, out=None, work=None):
-    """Backend-routed adjoint gradient ``sum_a D^T w_a``.
-
-    ``dt`` is the pre-transposed 1-D operator (pass a contiguous transpose
-    to avoid a per-call copy); ``work`` is scratch for the accumulation.
-    """
-    out = apply_1d(dt, ws[0], 0, out=out)
-    for a in range(1, len(ws)):
-        tmp = apply_1d(dt, ws[a], a, out=work)
-        out += tmp
-    return out

@@ -21,10 +21,10 @@ from typing import List
 
 import numpy as np
 
+from ..backends.dispatch import apply_1d
 from .basis import gll_derivative_matrix
 from .mesh import Mesh
 from .quadrature import gll_weights
-from .tensor import grad_2d, grad_3d
 
 __all__ = ["GeomFactors", "geometric_factors"]
 
@@ -88,10 +88,13 @@ def geometric_factors(mesh: Mesh) -> GeomFactors:
     d = gll_derivative_matrix(mesh.order)
     wt = _weight_tensor(mesh.order, mesh.ndim)
 
+    def grad(f):  # reference-space gradient (d/dr, d/ds[, d/dt])
+        return [apply_1d(d, f, a) for a in range(mesh.ndim)]
+
     if mesh.ndim == 2:
         x, y = mesh.coords
-        xr, xs = grad_2d(d, x)
-        yr, ys = grad_2d(d, y)
+        xr, xs = grad(x)
+        yr, ys = grad(y)
         jac = xr * ys - xs * yr
         if np.any(jac <= 0):
             raise ValueError(
@@ -111,9 +114,9 @@ def geometric_factors(mesh: Mesh) -> GeomFactors:
         return GeomFactors(2, jac, jw, dxi_dx, g, np.broadcast_to(wt, jac.shape))
 
     x, y, z = mesh.coords
-    xr, xs, xt = grad_3d(d, x)
-    yr, ys, yt = grad_3d(d, y)
-    zr, zs, zt = grad_3d(d, z)
+    xr, xs, xt = grad(x)
+    yr, ys, yt = grad(y)
+    zr, zs, zt = grad(z)
     # Cofactor expansion of the 3x3 Jacobian matrix [d(x,y,z)/d(r,s,t)].
     c_rx = ys * zt - yt * zs
     c_ry = xt * zs - xs * zt

@@ -11,7 +11,8 @@ paper — see DESIGN.md §5 for the deliberate restriction to conforming,
 logically-rectangular topologies.  The essential outputs per mesh are
 
 * ``coords``   — GLL node coordinates, batched layout ``(K, [n_t,] n_s, n_r)``
-  per component (the layout consumed by :mod:`repro.core.tensor`),
+  per component (the layout the tensor-product kernels of
+  :mod:`repro.backends.dispatch` consume),
 * ``global_ids`` — int64 global node numbers implementing the C0 (and
   periodic) identification; input to the gather-scatter machinery,
 * ``vertex_ids`` — global numbering of element corners, defining the coarse

@@ -26,14 +26,13 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ..backends import dispatch as _dispatch
 from ..backends.base import Workspace
+from ..backends.dispatch import apply_1d, stage_plan
 from ..perf.flops import add_flops
 from .assembly import Assembler, DirichletMask
 from .basis import gll_derivative_matrix
 from .element import GeomFactors, geometric_factors
 from .mesh import Mesh
-from .tensor import apply_1d
 
 __all__ = [
     "MassOperator",
@@ -45,6 +44,13 @@ __all__ = [
 ]
 
 Coefficient = Union[float, np.ndarray]
+
+
+def _check_field(what: str, a: np.ndarray, shape) -> None:
+    if a.shape != shape:
+        raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
+    if a.dtype != np.float64 or not a.flags.c_contiguous:
+        raise ValueError(f"{what} must be a C-contiguous float64 array")
 
 
 class MassOperator:
@@ -84,22 +90,33 @@ class LaplaceOperator:
         self.geom = geom if geom is not None else geometric_factors(mesh)
         self.d = gll_derivative_matrix(mesh.order)
         # Pre-transposed, contiguous derivative matrix for the adjoint
-        # applies (avoids a copy at every backend-boundary sanitization).
+        # stages (binds as is, with no sanitizing copy).
         self.dt = np.ascontiguousarray(np.asarray(self.d).T)
         self._ws = Workspace()
 
     def apply(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``A u`` — all mxm work through the backend, all intermediates
-        (gradients, fluxes, accumulators) from the operator's workspace, so
-        steady-state applies allocate nothing beyond the optional ``out``."""
+        """``A u``: the derivatives ``D_a u``, the fluxes ``f_a = sum_b
+        G_ab D_b u``, then ``sum_a D_a^T f_a`` accumulated in ascending
+        ``a``.  The ``2 nd`` contractions run as this thread's bound stage
+        plan (:class:`repro.backends.dispatch.StagePlan`); intermediates
+        come from the operator's workspace.  The result lands in ``out``
+        when given (it may be ``u``), else in a fresh array."""
+        shp = self.geom.jac.shape
+        # The plan's first stages read u: one sanitize and check per apply.
+        u = np.ascontiguousarray(u, dtype=np.float64)
+        _check_field("u", u, shp)
+        if out is None:
+            out = np.empty(shp)
+        _check_field("out", out, shp)
         g = self.geom.g
         ws = self._ws
-        shp = u.shape
+        plan = stage_plan(ws, "laplace")
         tmp = ws.get("tmp", shp)
-        work = ws.get("gtw", shp)
-        if self.mesh.ndim == 2:
-            ur = apply_1d(self.d, u, 0, out=ws.get("ur", shp))
-            us = apply_1d(self.d, u, 1, out=ws.get("us", shp))
+        nd = self.mesh.ndim
+        du = [plan.stage(name, self.d, u, a)
+              for a, name in enumerate(("ur", "us", "ut")[:nd])]
+        if nd == 2:
+            ur, us = du
             fr = ws.get("fr", shp)
             fs = ws.get("fs", shp)
             np.multiply(g[1], us, out=fr)
@@ -109,26 +126,30 @@ class LaplaceOperator:
             np.multiply(g[2], us, out=tmp)
             fs += tmp
             add_flops(6 * u.size, "pointwise")
-            return _dispatch.grad_transpose(self.dt, (fr, fs), out=out, work=work)
-        ur = apply_1d(self.d, u, 0, out=ws.get("ur", shp))
-        us = apply_1d(self.d, u, 1, out=ws.get("us", shp))
-        ut = apply_1d(self.d, u, 2, out=ws.get("ut", shp))
-        g_rr, g_rs, g_rt, g_ss, g_st, g_tt = g
-        fr = ws.get("fr", shp)
-        fs = ws.get("fs", shp)
-        ft = ws.get("ft", shp)
-        for f, (ga, gb, gc) in (
-            (fr, (g_rr, g_rs, g_rt)),
-            (fs, (g_rs, g_ss, g_st)),
-            (ft, (g_rt, g_st, g_tt)),
-        ):
-            np.multiply(ga, ur, out=f)
-            np.multiply(gb, us, out=tmp)
-            f += tmp
-            np.multiply(gc, ut, out=tmp)
-            f += tmp
-        add_flops(15 * u.size, "pointwise")
-        return _dispatch.grad_transpose(self.dt, (fr, fs, ft), out=out, work=work)
+            fluxes = (fr, fs)
+        else:
+            ur, us, ut = du
+            g_rr, g_rs, g_rt, g_ss, g_st, g_tt = g
+            fr = ws.get("fr", shp)
+            fs = ws.get("fs", shp)
+            ft = ws.get("ft", shp)
+            for f, (ga, gb, gc) in (
+                (fr, (g_rr, g_rs, g_rt)),
+                (fs, (g_rs, g_ss, g_st)),
+                (ft, (g_rt, g_st, g_tt)),
+            ):
+                np.multiply(ga, ur, out=f)
+                np.multiply(gb, us, out=tmp)
+                f += tmp
+                np.multiply(gc, ut, out=tmp)
+                f += tmp
+            add_flops(15 * u.size, "pointwise")
+            fluxes = (fr, fs, ft)
+        plan.stage("dt_r", self.dt, fluxes[0], 0, out=out)
+        for a in range(1, nd):
+            out += plan.stage("gtw", self.dt, fluxes[a], a)
+        plan.finish()
+        return out
 
     __call__ = apply
 

@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..backends.base import Workspace
-from ..backends.dispatch import stage_plan
+from ..backends.dispatch import apply_tensor, stage_plan
 from ..obs.trace import trace
 from ..perf.flops import add_flops
 from .assembly import Assembler, DirichletMask
@@ -36,7 +36,6 @@ from .basis import gl_to_gll_matrix, gll_derivative_matrix, gll_to_gl_matrix
 from .element import GeomFactors, geometric_factors
 from .mesh import Mesh
 from .quadrature import gl_weights
-from .tensor import apply_tensor
 
 __all__ = ["PressureOperator"]
 

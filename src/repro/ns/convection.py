@@ -23,15 +23,19 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from ..backends.base import Workspace
+from ..backends.dispatch import apply_1d, stage_plan
 from ..core.assembly import Assembler
 from ..core.basis import gll_derivative_matrix
 from ..core.element import GeomFactors
 from ..core.mesh import Mesh
 from ..core.quadrature import gll_points
-from ..core.tensor import grad_2d, grad_3d
 from ..perf.flops import add_flops
 
 __all__ = ["Convection", "courant_number", "physical_gradient"]
+
+#: workspace scratch of the OIFS gradient's stages, one per direction.
+_GRAD_NAMES = ("grad_r", "grad_s", "grad_t")
 
 
 def _contract(geom: GeomFactors, w: np.ndarray) -> np.ndarray:
@@ -48,7 +52,7 @@ def physical_gradient(d: np.ndarray, geom: GeomFactors, v: np.ndarray) -> List[n
     """Physical gradient ``(dv/dx, dv/dy[, dv/dz])`` of a scalar field, with
     ``d`` the 1-D GLL derivative matrix."""
     nd, x = geom.ndim, geom.dxi_dx
-    g = grad_2d(d, v) if nd == 2 else grad_3d(d, v)
+    g = [apply_1d(d, v, a) for a in range(nd)]
     add_flops((2 * nd - 1) * nd * v.size, "pointwise")
     return [sum((x[a][c] * g[a] for a in range(1, nd)), x[0][c] * g[0]) for c in range(nd)]
 
@@ -73,7 +77,7 @@ class Convection:
         self.geom = geom
         self.assembler = assembler
         self.d = gll_derivative_matrix(mesh.order)
-        self._g = tuple(np.empty(mesh.local_shape) for _ in range(mesh.ndim))
+        self._ws = Workspace()
 
     # ------------------------------------------------------------- operator
     def grad_phys(self, v: np.ndarray) -> List[np.ndarray]:
@@ -93,11 +97,22 @@ class Convection:
 
     def _advect_ref(self, wr: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``sum_a W_a dv/dxi_a`` into ``out``, one field at a time, which
-        keeps each pass's working set at one field's size."""
-        nd, g = self.mesh.ndim, self._g
-        shape = (-1,) + self.mesh.local_shape
-        for f, o in zip(v.reshape(shape), out.reshape(shape)):
-            (grad_2d if nd == 2 else grad_3d)(self.d, f, outs=g)
+        keeps each pass's working set at one field's size.  Each field's
+        ``nd`` derivatives run as this thread's bound stage plan
+        (:class:`repro.backends.dispatch.StagePlan`) into workspace
+        scratch."""
+        nd = self.mesh.ndim
+        shape = self.mesh.local_shape
+        # The plan's stages read v: one sanitize and check per apply.
+        v = np.ascontiguousarray(v, dtype=np.float64)
+        if v.shape[-len(shape):] != shape or v.ndim > len(shape) + 1:
+            raise ValueError(
+                f"v has shape {v.shape}, expected {shape} or (m,) + {shape}"
+            )
+        for f, o in zip(v.reshape((-1,) + shape), out.reshape((-1,) + shape)):
+            plan = stage_plan(self._ws, "grad")
+            g = [plan.stage(_GRAD_NAMES[a], self.d, f, a) for a in range(nd)]
+            plan.finish()
             np.multiply(wr[0], g[0], out=o)
             for a in range(1, nd):
                 np.multiply(wr[a], g[a], out=g[a])

@@ -280,12 +280,19 @@ class NavierStokesSolver:
         run inside trace regions ``step/{convection,helmholtz,pressure,
         filter}`` — the Table 2 attribution tree.  A failed solve raises
         :class:`~repro.solvers.cg.SolveFailure` with ``step`` set to the
-        timestep being taken.
+        timestep being taken, and leaves the state as it found it, so the
+        step can be retried.
         """
+        hists = (self._u_hist, self._t_hist, self._conv_hist)
+        saved = [h[:] for h in hists]
         with trace("step"):
             try:
                 return self._step(extra_forcing)
             except SolveFailure as exc:
+                # _step pushes u^n onto the histories before its solves: a
+                # failed step takes it off again, so a retry integrates it once.
+                for h, old in zip(hists, saved):
+                    h[:] = old
                 raise exc.at_step(self.step_count + 1)
 
     def _step(self, extra_forcing: Optional[Sequence[np.ndarray]] = None) -> StepStats:

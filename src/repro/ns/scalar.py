@@ -108,6 +108,7 @@ class ScalarTransport:
         order = min(flow.scheme, len(self._hist) + 1)
         beta0, betas = BDF_COEFFS[order]
 
+        saved = self._hist[:], self._adv_hist[:]
         self._hist.insert(0, self.T.copy())
         self._adv_hist.insert(0, -flow.conv.advect(flow.u, self.T))
         keep = flow.scheme
@@ -148,6 +149,9 @@ class ScalarTransport:
             if not res.converged:
                 raise SolveFailure.unconverged("scalar Helmholtz solve", res, "scalar")
         except SolveFailure as exc:
+            # Leave the histories as the step found them, so a retry
+            # integrates T^n once.
+            self._hist[:], self._adv_hist[:] = saved
             raise exc.at_step(flow.step_count)
         self.T = res.x + t_bound
         if self.use_filter and flow.filter is not None:

@@ -29,13 +29,13 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..backends.dispatch import apply_tensor
 from ..core.assembly import Assembler, DirichletMask
 from ..core.basis import interpolation_matrix
 from ..core.element import geometric_factors
 from ..core.mesh import Mesh, box_mesh_2d, box_mesh_3d
 from ..core.operators import HelmholtzOperator, SEMSystem
 from ..core.quadrature import gll_points
-from ..core.tensor import apply_tensor
 from ..obs.trace import trace
 from ..perf.flops import add_flops
 from .chebyshev import ChebyshevSmoother, estimate_extreme_eigenvalues

@@ -107,6 +107,9 @@ class TestRunSpec:
         ("seed", "7"),
         ("seed", 7.0),
         ("seed", True),
+        ("label", 5),
+        ("params", [["level", 1]]),
+        ("workload", 5),
     ])
     def test_from_dict_rejects_mistyped_values(self, field, value):
         # "false" is truthy: coercing it would opt the run into the shared

@@ -16,8 +16,8 @@ from repro.core.element import geometric_factors
 from repro.core.mesh import box_mesh_2d, box_mesh_3d, map_mesh
 from repro.core.operators import LaplaceOperator, build_poisson_system
 from repro.core.pressure import PressureOperator
-from repro.core.tensor import apply_1d
-from repro.core.tensor import apply_tensor as core_apply_tensor
+from repro.backends.dispatch import apply_1d
+from repro.backends.dispatch import apply_tensor as core_apply_tensor
 from repro.perf.flops import counting
 from repro.solvers.cg import pcg
 

@@ -63,12 +63,12 @@ class TestDeformed2D:
             lambda x, y: (x + 0.1 * y * y, y + 0.1 * np.sin(np.pi * x)),
         )
         g = geometric_factors(m)
+        from repro.backends.dispatch import apply_1d
         from repro.core.basis import gll_derivative_matrix
-        from repro.core.tensor import grad_2d
 
         d = gll_derivative_matrix(m.order)
-        xr, xs = grad_2d(d, m.coords[0])
-        yr, ys = grad_2d(d, m.coords[1])
+        xr, xs = (apply_1d(d, m.coords[0], a) for a in range(2))
+        yr, ys = (apply_1d(d, m.coords[1], a) for a in range(2))
         rx, ry = g.dxi_dx[0]
         sx, sy = g.dxi_dx[1]
         assert np.allclose(rx * xr + ry * yr, 1.0, atol=1e-10)
@@ -112,13 +112,11 @@ class TestDeformed3D:
             lambda x, y, z: (x + 0.05 * y * z, y + 0.05 * z * x, z + 0.05 * x * y),
         )
         g = geometric_factors(m)
+        from repro.backends.dispatch import apply_1d
         from repro.core.basis import gll_derivative_matrix
-        from repro.core.tensor import grad_3d
 
         d = gll_derivative_matrix(m.order)
-        dx = grad_3d(d, m.coords[0])
-        dy = grad_3d(d, m.coords[1])
-        dz = grad_3d(d, m.coords[2])
+        dx, dy, dz = ([apply_1d(d, c, a) for a in range(3)] for c in m.coords)
         for a in range(3):
             for b in range(3):
                 acc = (

@@ -110,6 +110,52 @@ class TestConstruction:
         assert info.value.step == step and info.value.label == "pressure"
         assert str(info.value).endswith(f"(at step {step})")
 
+    def test_retried_step_after_failure_matches_clean_run(self, monkeypatch):
+        # A failed step must not leave u^n on the histories: the retry
+        # would integrate it twice.
+        import repro.ns.navier_stokes as ns_mod
+
+        clean, _ = taylor_green_solver(N=4, ne=2, projection_window=0)
+        clean.advance(4)
+        sol, _ = taylor_green_solver(N=4, ne=2, projection_window=0)
+        sol.advance(2)
+        real_pcg = ns_mod.pcg
+
+        def capped(*args, **kw):
+            if kw.get("label") == "pressure":
+                kw["maxiter"] = 1
+            return real_pcg(*args, **kw)
+
+        monkeypatch.setattr(ns_mod, "pcg", capped)
+        with pytest.raises(SolveFailure):
+            sol.step()
+        monkeypatch.setattr(ns_mod, "pcg", real_pcg)
+        sol.advance(2)
+        assert sol.step_count == clean.step_count == 4 and sol.t == clean.t
+        assert np.array_equal(sol.u, clean.u) and np.array_equal(sol.p, clean.p)
+
+    def test_retried_scalar_step_after_failure_matches_clean_run(self, monkeypatch):
+        import repro.ns.scalar as scalar_mod
+
+        def run(fail_at):
+            sol, mesh = taylor_green_solver(N=4, ne=2, projection_window=0)
+            heat = ScalarTransport(sol, peclet=10.0)
+            heat.set_initial_condition(lambda x, y: np.sin(x) * np.cos(y))
+            real_pcg = scalar_mod.pcg
+            for k in range(1, 4):
+                sol.step()
+                if k == fail_at:
+                    monkeypatch.setattr(
+                        scalar_mod, "pcg",
+                        lambda *a, **kw: real_pcg(*a, **{**kw, "maxiter": 1}))
+                    with pytest.raises(SolveFailure):
+                        heat.step()
+                    monkeypatch.setattr(scalar_mod, "pcg", real_pcg)
+                heat.step()
+            return heat.T
+
+        assert np.array_equal(run(fail_at=2), run(fail_at=None))
+
     def test_scalar_failure_names_the_flow_step(self):
         sol, mesh = taylor_green_solver(N=4, ne=2)
         heat = ScalarTransport(sol, peclet=10.0)

@@ -9,7 +9,7 @@ from repro.backends import available_backends, use_backend
 from repro.core.assembly import DirichletMask
 from repro.core.mesh import box_mesh_2d, box_mesh_3d, map_mesh
 from repro.core.pressure import PressureOperator
-from repro.core.tensor import apply_1d, apply_tensor
+from repro.backends.dispatch import apply_1d, apply_tensor
 from repro.solvers.cg import pcg
 from repro.workloads.hairpin import bump_channel_mesh
 

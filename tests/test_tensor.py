@@ -5,20 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.tensor import (
-    apply_1d,
-    apply_tensor,
-    grad_2d,
-    grad_3d,
-    grad_transpose_2d,
-    grad_transpose_3d,
-    kron_matvec,
-)
+from repro.backends.dispatch import apply_1d, apply_tensor
 from repro.perf.flops import counting
 
 
 def rng_field(seed, *shape):
     return np.random.default_rng(seed).standard_normal(shape)
+
+
+def grad(d, u):
+    """Reference-space gradient: ``d`` along every direction of ``u``."""
+    return [apply_1d(d, u, a) for a in range(u.ndim - 1)]
+
+
+def grad_transpose(d, ws):
+    """Its adjoint ``sum_a D_a^T w_a``, as the Laplace apply accumulates it."""
+    dt = np.ascontiguousarray(d.T)
+    out = apply_1d(dt, ws[0], 0)
+    for a in range(1, len(ws)):
+        out += apply_1d(dt, ws[a], a)
+    return out
 
 
 class TestApply1D:
@@ -132,7 +138,7 @@ class TestGradients:
         X, Y = np.meshgrid(x, x, indexing="xy")  # rows ~ s(y), cols ~ r(x)
         u = (2 * X + 3 * Y)[None, :, :]
         D = gll_derivative_matrix(n)
-        ur, us = grad_2d(D, u)
+        ur, us = grad(D, u)
         assert np.allclose(ur, 2.0, atol=1e-11)
         assert np.allclose(us, 3.0, atol=1e-11)
 
@@ -141,9 +147,9 @@ class TestGradients:
         D = rng_field(0, n, n)
         u = rng_field(1, K, n, n)
         wr, ws = rng_field(2, K, n, n), rng_field(3, K, n, n)
-        ur, us = grad_2d(D, u)
+        ur, us = grad(D, u)
         lhs = np.sum(ur * wr) + np.sum(us * ws)
-        rhs = np.sum(u * grad_transpose_2d(D, wr, ws))
+        rhs = np.sum(u * grad_transpose(D, (wr, ws)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_grad_transpose_3d_is_adjoint(self):
@@ -151,9 +157,9 @@ class TestGradients:
         D = rng_field(0, n, n)
         u = rng_field(1, K, n, n, n)
         w = [rng_field(i + 2, K, n, n, n) for i in range(3)]
-        g = grad_3d(D, u)
+        g = grad(D, u)
         lhs = sum(np.sum(gi * wi) for gi, wi in zip(g, w))
-        rhs = np.sum(u * grad_transpose_3d(D, *w))
+        rhs = np.sum(u * grad_transpose(D, w))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_grad_3d_on_trilinear_field(self):
@@ -165,23 +171,10 @@ class TestGradients:
         Z, Y, X = np.meshgrid(x, x, x, indexing="ij")  # axes (t, s, r)
         u = (X + 2 * Y + 5 * Z)[None]
         D = gll_derivative_matrix(n)
-        ur, us, ut = grad_3d(D, u)
+        ur, us, ut = grad(D, u)
         assert np.allclose(ur, 1.0, atol=1e-11)
         assert np.allclose(us, 2.0, atol=1e-11)
         assert np.allclose(ut, 5.0, atol=1e-11)
-
-
-class TestKronMatvec:
-    def test_matches_explicit_kron_2d(self):
-        A, B = rng_field(0, 3, 4), rng_field(1, 2, 5)
-        x = rng_field(2, 4 * 5)
-        assert np.allclose(kron_matvec([A, B], x), np.kron(A, B) @ x)
-
-    def test_matches_explicit_kron_3d(self):
-        A, B, C = rng_field(0, 2, 3), rng_field(1, 3, 3), rng_field(2, 4, 2)
-        x = rng_field(3, 3 * 3 * 2)
-        big = np.kron(np.kron(A, B), C)
-        assert np.allclose(kron_matvec([A, B, C], x), big @ x)
 
 
 @settings(max_examples=25, deadline=None)
